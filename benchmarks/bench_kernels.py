@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the numba-compiled kernels against the pure-numpy fallbacks.
+"""Time the batched numpy kernels of ``relclock._accel`` and a fixed-step
+RK4 master-equation step.
 
-Run with the compiled path (default) and compare against
-``RELCLOCK_NUMBA=0 python benchmarks/bench_kernels.py`` or rely on this
-script, which times both implementations side by side when numba is
-available.
+``master_evolve`` solves the master equation exactly and no longer steps it;
+the RK4 case keeps a local copy of the former step so that its timings stay
+comparable across versions.  Each ``bench_*`` returns ``{"numpy": seconds}``
+(best of k).  Run with ``python benchmarks/bench_kernels.py``.
 """
 
 import time
@@ -24,6 +25,20 @@ def _time(fn, *args, repeat=5, inner=1):
     return best
 
 
+def _rk4_step(h: np.ndarray, rho: np.ndarray, dt: float, rate: float) -> np.ndarray:
+    """One RK4 step of drho/dT = -i[H,rho] - rate*[H,[H,rho]] (rate constant)."""
+
+    def rhs(r):
+        c = h @ r - r @ h
+        return -1j * c - rate * (h @ c - c @ h)
+
+    k1 = rhs(rho)
+    k2 = rhs(rho + 0.5 * dt * k1)
+    k3 = rhs(rho + 0.5 * dt * k2)
+    k4 = rhs(rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def bench_rk4(dim: int, steps: int) -> dict:
     rng = np.random.default_rng(0)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -32,28 +47,20 @@ def bench_rk4(dim: int, steps: int) -> dict:
     rho = m @ m.conj().T
     rho = np.ascontiguousarray(rho / rho.trace())
 
-    def loop(stepper):
+    def loop():
         r = rho
         for _ in range(steps):
-            r = stepper(h, r, 1e-3, 1e-4)
+            r = _rk4_step(h, r, 1e-3, 1e-4)
         return r
 
-    out = {"numpy": _time(loop, _accel.rk4_dephasing_step_numpy, repeat=3)}
-    if _accel.NUMBA_ENABLED:
-        loop(_accel.rk4_dephasing_step_numba)  # compile
-        out["numba"] = _time(loop, _accel.rk4_dephasing_step_numba, repeat=3)
-    return out
+    return {"numpy": _time(loop, repeat=3)}
 
 
 def bench_dephasing(n_spins: int, n_times: int) -> dict:
     g = np.sqrt(np.arange(2, 2 + n_spins, dtype=float))
     c = np.zeros(n_spins)
     t = np.linspace(0.0, 100.0, n_times)
-    out = {"numpy": _time(_accel.dephasing_product_numpy, g, c, t)}
-    if _accel.NUMBA_ENABLED:
-        _accel.dephasing_product_numba(g, c, t)
-        out["numba"] = _time(_accel.dephasing_product_numba, g, c, t)
-    return out
+    return {"numpy": _time(_accel.dephasing_product, g, c, t)}
 
 
 def bench_sandwich(dim: int, n_times: int) -> dict:
@@ -65,29 +72,18 @@ def bench_sandwich(dim: int, n_times: int) -> dict:
     rho = np.ascontiguousarray(rho / rho.trace())
     pq = np.ascontiguousarray(pq)
     pt = np.ascontiguousarray(pt)
-    out = {"numpy": _time(_accel.sandwich_traces_numpy, pq, pt, rho)}
-    if _accel.NUMBA_ENABLED:
-        _accel.sandwich_traces_numba(pq, pt, rho)
-        out["numba"] = _time(_accel.sandwich_traces_numba, pq, pt, rho)
-    return out
+    return {"numpy": _time(_accel.sandwich_traces, pq, pt, rho)}
 
 
 def main() -> None:
-    print(f"active backend: {_accel.backend_name()}")
     cases = [
         ("rk4 master step, qubit x 20000 steps", bench_rk4(2, 20000)),
         ("rk4 master step, dim 8 x 5000 steps", bench_rk4(8, 5000)),
         ("dephasing product, N=12 x 200k times", bench_dephasing(12, 200_000)),
         ("sandwich traces, dim 128 x 49 times", bench_sandwich(128, 49)),
     ]
-    print(f"{'case':45s} {'numpy':>10s} {'numba':>10s} {'speedup':>8s}")
     for name, res in cases:
-        np_t = res["numpy"]
-        if "numba" in res:
-            nb_t = res["numba"]
-            print(f"{name:45s} {np_t * 1e3:9.2f}ms {nb_t * 1e3:9.2f}ms {np_t / nb_t:7.1f}x")
-        else:
-            print(f"{name:45s} {np_t * 1e3:9.2f}ms {'-':>10s} {'-':>8s}")
+        print(f"{name:45s} {res['numpy'] * 1e3:9.2f}ms")
 
 
 if __name__ == "__main__":

@@ -1,55 +1,19 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy implementations.
-
-The compiled path is used when numba imports cleanly and the environment
-variable ``RELCLOCK_NUMBA`` is not set to ``0``.  Both paths are kept in the
-test matrix and their outputs agree to machine precision; the benchmark in
-``benchmarks/bench_kernels.py`` compares their throughput.
-"""
+"""Batched numpy kernels shared by the dephasing scans and the conditioning
+quadratures."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("RELCLOCK_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off", "no")
 
-try:  # pragma: no cover - exercised through both CI paths
-    if not _want_numba:
-        raise ImportError("numba disabled via RELCLOCK_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover
-    njit = None
-    NUMBA_ENABLED = False
-
-
-# -- reference (numpy) implementations ----------------------------------------
-
-def rk4_dephasing_step_numpy(h: np.ndarray, rho: np.ndarray, dt: float, rate: float) -> np.ndarray:
-    """One RK4 step of drho/dT = -i[H,rho] - rate*[H,[H,rho]] (rate constant)."""
-
-    def rhs(r):
-        c = h @ r - r @ h
-        return -1j * c - rate * (h @ c - c @ h)
-
-    k1 = rhs(rho)
-    k2 = rhs(rho + 0.5 * dt * k1)
-    k3 = rhs(rho + 0.5 * dt * k2)
-    k4 = rhs(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def dephasing_product_numpy(couplings: np.ndarray, polarizations: np.ndarray, t: np.ndarray) -> np.ndarray:
+def dephasing_product(couplings: np.ndarray, polarizations: np.ndarray, t: np.ndarray) -> np.ndarray:
     """z(t) = prod_k [cos(2 g_k t) + i c_k sin(2 g_k t)] over a time grid."""
     phase = 2.0 * np.multiply.outer(couplings, t)
     factors = np.cos(phase) + 1j * polarizations[:, None] * np.sin(phase)
     return factors.prod(axis=0)
 
 
-def sandwich_traces_numpy(pq_t: np.ndarray, pt_t: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sandwich_traces(pq_t: np.ndarray, pt_t: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tr(PQ(t) PT(t) rho PT(t)) and Tr(PT(t) rho) across a stacked time axis."""
     inner = pt_t @ rho @ pt_t
     num = np.einsum("tij,tji->t", pq_t, inner).real
@@ -57,88 +21,5 @@ def sandwich_traces_numpy(pq_t: np.ndarray, pt_t: np.ndarray, rho: np.ndarray) -
     return num, den
 
 
-# -- numba implementations -----------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _rk4_dephasing_step_nb(h, rho, dt, rate):
-        c1 = h @ rho - rho @ h
-        k1 = -1j * c1 - rate * (h @ c1 - c1 @ h)
-        r2 = rho + 0.5 * dt * k1
-        c2 = h @ r2 - r2 @ h
-        k2 = -1j * c2 - rate * (h @ c2 - c2 @ h)
-        r3 = rho + 0.5 * dt * k2
-        c3 = h @ r3 - r3 @ h
-        k3 = -1j * c3 - rate * (h @ c3 - c3 @ h)
-        r4 = rho + dt * k3
-        c4 = h @ r4 - r4 @ h
-        k4 = -1j * c4 - rate * (h @ c4 - c4 @ h)
-        return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    @njit(cache=True)
-    def _dephasing_product_nb(couplings, polarizations, t):
-        n = couplings.shape[0]
-        out = np.empty(t.shape[0], dtype=np.complex128)
-        for j in range(t.shape[0]):
-            z = 1.0 + 0.0j
-            for k in range(n):
-                ph = 2.0 * couplings[k] * t[j]
-                z *= np.cos(ph) + 1j * polarizations[k] * np.sin(ph)
-            out[j] = z
-        return out
-
-    @njit(cache=True)
-    def _sandwich_traces_nb(pq_t, pt_t, rho):
-        nt = pq_t.shape[0]
-        d = rho.shape[0]
-        num = np.empty(nt, dtype=np.float64)
-        den = np.empty(nt, dtype=np.float64)
-        for ti in range(nt):
-            pt = pt_t[ti]
-            inner = pt @ rho @ pt
-            acc = 0.0
-            for i in range(d):
-                row = pq_t[ti, i]
-                for j in range(d):
-                    acc += (row[j] * inner[j, i]).real
-            num[ti] = acc
-            accd = 0.0
-            for i in range(d):
-                for j in range(d):
-                    accd += (pt[i, j] * rho[j, i]).real
-            den[ti] = accd
-        return num, den
-
-    def rk4_dephasing_step_numba(h, rho, dt, rate):
-        return _rk4_dephasing_step_nb(
-            np.ascontiguousarray(h), np.ascontiguousarray(rho), float(dt), float(rate)
-        )
-
-    def dephasing_product_numba(couplings, polarizations, t):
-        return _dephasing_product_nb(
-            np.ascontiguousarray(couplings, dtype=np.float64),
-            np.ascontiguousarray(polarizations, dtype=np.float64),
-            np.ascontiguousarray(t, dtype=np.float64),
-        )
-
-    def sandwich_traces_numba(pq_t, pt_t, rho):
-        return _sandwich_traces_nb(
-            np.ascontiguousarray(pq_t), np.ascontiguousarray(pt_t), np.ascontiguousarray(rho)
-        )
-
-    rk4_dephasing_step = rk4_dephasing_step_numba
-    dephasing_product = dephasing_product_numba
-    sandwich_traces = sandwich_traces_numba
-else:  # pragma: no cover - selected by env flag
-    rk4_dephasing_step_numba = None
-    dephasing_product_numba = None
-    sandwich_traces_numba = None
-
-    rk4_dephasing_step = rk4_dephasing_step_numpy
-    dephasing_product = dephasing_product_numpy
-    sandwich_traces = sandwich_traces_numpy
-
-
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"

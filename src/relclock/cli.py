@@ -358,50 +358,71 @@ _ARTIFACT_SUFFIX = {
 
 # -- validation -----------------------------------------------------------------
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive(x) -> bool:
+    return _is_number(x) and x > 0
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Static validation; returns one message per violated invariant."""
-    violations: list[str] = []
+    if not isinstance(cfg, dict):
+        return ["config must be a JSON object"]
+    sections = ("system", "clock", "accuracy", "environment")
+    violations = [f"{key} must be a JSON object" for key in sections
+                  if cfg.get(key) is not None and not isinstance(cfg[key], dict)]
+    if violations:
+        return violations
 
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         violations.append("seed must be a nonnegative integer")
 
     clock = cfg.get("clock")
+    queries = cfg.get("queries")
+    if not isinstance(queries, list) or not queries:
+        violations.append("queries must be a nonempty list")
+        queries = []
     needs_clock = any(
-        q.get("kind") in ("conditional-prob", "physical-evolve", "detect-event")
-        for q in cfg.get("queries", [])
+        isinstance(q, dict) and q.get("kind") in ("conditional-prob", "physical-evolve", "detect-event")
+        for q in queries
     )
     if clock is not None:
         kind = clock.get("type")
         if kind not in ("ideal", "free_particle"):
             violations.append(f"clock.type must be 'ideal' or 'free_particle', got {kind!r}")
-        if "delta_C" in clock and not (isinstance(clock["delta_C"], (int, float)) and clock["delta_C"] > 0):
+        if "delta_C" in clock and not _positive(clock["delta_C"]):
             violations.append("clock.delta_C must be > 0")
         if kind == "free_particle":
             for key in ("mass", "sigma0", "delta_C", "tau"):
                 if key not in clock:
                     violations.append(f"clock.{key} is required for a free_particle clock")
-                elif key in ("mass", "sigma0") and not clock[key] > 0:
+                elif key in ("mass", "sigma0") and not _positive(clock[key]):
                     violations.append(f"clock.{key} must be > 0")
-        if "tau" in clock and not clock["tau"] > 0:
+        if "tau" in clock and not _positive(clock["tau"]):
             violations.append("clock.tau must be > 0")
         if "tau" not in clock:
             violations.append("clock.tau is required")
-        if clock.get("grid_points", 64) < 8:
+        grid_points = clock.get("grid_points", 64)
+        if not (_is_number(grid_points) and grid_points >= 8):
             violations.append("clock.grid_points must be at least 8")
     elif needs_clock:
         violations.append("config has no clock section but a query requires one")
 
     acc = cfg.get("accuracy")
     if acc is not None:
-        if not 0.0 < acc.get("a", 0.0) <= 1.0:
+        a = acc.get("a")
+        if not (_is_number(a) and 0.0 < a <= 1.0):
             violations.append("accuracy.a must lie in (0, 1]")
-        if not acc.get("t_planck", 0.0) > 0:
+        if not _positive(acc.get("t_planck")):
             violations.append("accuracy.t_planck must be > 0")
 
     env = cfg.get("environment")
     if env is not None:
-        if env.get("n_spins", 0) < 1:
+        n_spins = env.get("n_spins")
+        if not (_is_number(n_spins) and n_spins >= 1):
             violations.append("environment.n_spins must be at least 1")
         if env.get("mode", "incommensurate") not in ("incommensurate", "factorial", "harmonic"):
             violations.append(f"environment.mode {env.get('mode')!r} is not recognized")
@@ -413,12 +434,14 @@ def validate_config(cfg: dict) -> list[str]:
             violations.append(f"system.name {name!r} is not a known preset")
         if name is None and "hamiltonian" not in system:
             violations.append("system needs either a preset name or a hamiltonian matrix")
+        init = system.get("initial_state")
+        if isinstance(init, str) and init not in _NAMED_STATES:
+            violations.append(f"system.initial_state {init!r} is not a named state")
 
-    queries = cfg.get("queries")
-    if not isinstance(queries, list) or not queries:
-        violations.append("queries must be a nonempty list")
-        queries = []
     for i, q in enumerate(queries):
+        if not isinstance(q, dict):
+            violations.append(f"query {i} must be an object")
+            continue
         kind = q.get("kind")
         if kind not in QUERY_KINDS:
             violations.append(f"query {i}: unknown kind {kind!r}")
@@ -433,6 +456,16 @@ def validate_config(cfg: dict) -> list[str]:
             violations.append(f"query {i} (master-evolve) requires the accuracy section")
         if kind == "conditional-prob" and "T0" not in q:
             violations.append(f"query {i} (conditional-prob) needs T0")
+        if kind == "master-evolve":
+            if not _positive(q.get("T_end")):
+                violations.append(f"query {i} (master-evolve) needs T_end > 0")
+            stride = q.get("record_stride", 1)
+            if not (_is_number(stride) and stride >= 1):
+                violations.append(f"query {i} (master-evolve) record_stride must be at least 1")
+        if kind in ("physical-evolve", "decay-scan"):
+            t_values = q.get("T_values")
+            if not (isinstance(t_values, list) and t_values and all(map(_is_number, t_values))):
+                violations.append(f"query {i} ({kind}) needs T_values, a nonempty list of numbers")
         if kind == "detect-event":
             for key in ("T0", "n_particles", "alpha"):
                 if key not in q:
@@ -453,10 +486,15 @@ def run_config(cfg: dict, out_dir: Path, parallel: bool = False) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ctx: dict = {"seed": int(cfg.get("seed", 0))}
-    ctx["system"] = build_system(cfg) if "system" in cfg else None
-    ctx["clock"] = build_clock(cfg) if "clock" in cfg else None
-    ctx["law"] = build_law(cfg) if "accuracy" in cfg else None
-    ctx["env"] = build_environment(cfg) if "environment" in cfg else None
+    builders = (("system", "system", build_system), ("clock", "clock", build_clock),
+                ("law", "accuracy", build_law), ("env", "environment", build_environment))
+    for key, section, build in builders:
+        try:
+            ctx[key] = build(cfg) if section in cfg else None
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise ConfigError(f"cannot build {section}: {type(exc).__name__}: {exc}") from exc
 
     paths = []
     jobs = []

@@ -91,14 +91,6 @@ class AccuracyLaw:
         return 2.0 * a * self.t_planck ** (2.0 * (1.0 - a)) * T ** (2.0 * a - 1.0)
 
 
-def accuracy_bound(law: AccuracyLaw, T: float) -> float:
-    return law.delta_t(T)
-
-
-def fundamental_b_rate(law: AccuracyLaw, T: float) -> float:
-    return law.spread_rate(T)
-
-
 @dataclass(frozen=True)
 class ClockModel:
     """A quantum clock on a uniform position-like grid.
@@ -305,16 +297,17 @@ class ClockDensity:
         if np.any(self.density < -1e-12):
             raise ValueError("density has negative entries")
 
+    def _mean_variance(self) -> tuple[float, float]:
+        wd = trapezoid_weights(self.t_grid) * self.density
+        s = float(np.sum(wd))
+        m = float(np.sum(wd * self.t_grid) / s)
+        return m, float(np.sum(wd * (self.t_grid - m) ** 2) / s)
+
     def mean(self) -> float:
-        w = trapezoid_weights(self.t_grid)
-        s = float(np.sum(w * self.density))
-        return float(np.sum(w * self.density * self.t_grid) / s)
+        return self._mean_variance()[0]
 
     def variance(self) -> float:
-        w = trapezoid_weights(self.t_grid)
-        s = float(np.sum(w * self.density))
-        m = float(np.sum(w * self.density * self.t_grid) / s)
-        return float(np.sum(w * self.density * (self.t_grid - m) ** 2) / s)
+        return self._mean_variance()[1]
 
     def std(self) -> float:
         return math.sqrt(max(self.variance(), 0.0))
@@ -380,8 +373,5 @@ def density_moments(d: ClockDensity) -> tuple[float, float]:
     coefficient is what enters the dephasing rate of the physical-time master
     equation; ``a`` is reported but deliberately not fed into evolution.
     """
-    w = trapezoid_weights(d.t_grid)
-    s = float(np.sum(w * d.density))
-    mean = float(np.sum(w * d.density * d.t_grid) / s)
-    var = float(np.sum(w * d.density * (d.t_grid - mean) ** 2) / s)
+    mean, var = d._mean_variance()
     return -(mean - d.t_value), 0.5 * var

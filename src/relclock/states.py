@@ -246,14 +246,6 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def tensor_with_identity(op: np.ndarray, dims: Sequence[int], position: int) -> np.ndarray:
-    """Embed a single-factor operator at ``position`` in a product of identities."""
-    mats = [np.eye(d, dtype=complex) for d in dims]
-    _check_square(np.asarray(op), dims[position], "embedded operator")
-    mats[position] = np.asarray(op, dtype=complex)
-    return tensor(*mats)
-
-
 def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out every factor not in ``keep``; kept factors stay in their order."""
     dims = tuple(int(d) for d in dims)

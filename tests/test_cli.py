@@ -70,6 +70,30 @@ class TestValidate:
         cfg["queries"].append({"kind": "nope"})
         assert any("unknown kind" in v for v in cli.validate_config(cfg))
 
+    @pytest.mark.parametrize(
+        "preset, mutate, message",
+        [
+            ("qubit_decay", lambda c: c["queries"][0].update(record_stride=0),
+             "query 0 (master-evolve) record_stride must be at least 1"),
+            ("qubit_decay", lambda c: c["queries"][0].update(record_stride=-1),
+             "query 0 (master-evolve) record_stride must be at least 1"),
+            ("qubit_decay", lambda c: c["queries"][0].pop("T_end"),
+             "query 0 (master-evolve) needs T_end > 0"),
+            ("qubit_decay", lambda c: c["queries"][1].update(T_values=[]),
+             "query 1 (decay-scan) needs T_values, a nonempty list of numbers"),
+            ("physical_evolve", lambda c: c["queries"][0].pop("T_values"),
+             "query 0 (physical-evolve) needs T_values, a nonempty list of numbers"),
+            ("physical_evolve", lambda c: c["clock"].update(tau="4"), "clock.tau must be > 0"),
+            ("conditional_identity", lambda c: c.update(queries=[1]), "query 0 must be an object"),
+            ("conditional_identity", lambda c: c["system"].update(initial_state="foo"),
+             "system.initial_state 'foo' is not a named state"),
+        ],
+    )
+    def test_per_kind_and_type_violations_named(self, preset, mutate, message):
+        cfg = load_preset(preset)
+        mutate(cfg)
+        assert message in cli.validate_config(cfg)
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = cli.preset_path("conditional_identity")
         res = run_cli("validate", str(good))
@@ -180,6 +204,25 @@ class TestRun:
         res = run_cli("run", str(bad), "--out", str(tmp_path / "out"))
         assert res.returncode == 2, res.stdout + res.stderr
         assert "delta_C" in json.loads(res.stdout)["message"]
+
+    @pytest.mark.parametrize(
+        "section, value, fragment",
+        [
+            ("system", {"name": "qubit-sz", "initial_state": "foo"}, "initial_state"),
+            # passes validate; the environment builder rejects it
+            ("environment", {"n_spins": 20, "mode": "incommensurate"}, "environment"),
+        ],
+    )
+    def test_builder_failure_emits_config_error_json(self, tmp_path, section, value, fragment):
+        cfg = load_preset("zurek_n8")
+        cfg[section] = value
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        res = run_cli("run", str(bad), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stdout + res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["error"] == "ConfigError"
+        assert fragment in payload["message"]
 
     def test_env_var_output_dir(self, tmp_path):
         # No --out: the output directory must come from RELCLOCK_OUT. The child

@@ -12,16 +12,16 @@ class TestAccuracyLaw:
     def test_paper_scale_bound(self):
         # a = 1/3, Planck time 1e-44 s, one second elapsed: 10^(-88/3) s
         law = rc.AccuracyLaw(exponent_a=1.0 / 3.0, t_planck=1e-44)
-        assert rc.accuracy_bound(law, 1.0) == pytest.approx(4.641588833612779e-30, rel=1e-12)
+        assert law.delta_t(1.0) == pytest.approx(4.641588833612779e-30, rel=1e-12)
 
     def test_zero_elapsed_time(self):
         law = rc.AccuracyLaw(exponent_a=1.0 / 3.0, t_planck=1e-44)
-        assert rc.accuracy_bound(law, 0.0) == 0.0
+        assert law.delta_t(0.0) == 0.0
 
     def test_exponent_one_is_elapsed_time(self):
         law = rc.AccuracyLaw(exponent_a=1.0, t_planck=1e-10)
         for t in (0.5, 2.0, 7.0):
-            assert rc.accuracy_bound(law, t) == pytest.approx(t, rel=1e-14)
+            assert law.delta_t(t) == pytest.approx(t, rel=1e-14)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ class TestSpreadRate:
         for t in (0.2, 1.0, 3.0):
             h = 1e-6 * t
             fd = (law.accumulated_spread(t + h) - law.accumulated_spread(t - h)) / (2 * h)
-            assert rc.fundamental_b_rate(law, t) == pytest.approx(fd, rel=1e-7)
+            assert law.spread_rate(t) == pytest.approx(fd, rel=1e-7)
 
     @pytest.mark.parametrize("a", [1.0 / 3.0, 0.5, 1.0])
     def test_accumulated_matches_rate_quadrature(self, a):
@@ -59,15 +59,15 @@ class TestSpreadRate:
     def test_half_exponent_constant_rate(self):
         law = rc.AccuracyLaw(exponent_a=0.5, t_planck=1e-4)
         for t in (0.0, 0.1, 5.0):
-            assert rc.fundamental_b_rate(law, t) == pytest.approx(1e-4, rel=1e-12)
+            assert law.spread_rate(t) == pytest.approx(1e-4, rel=1e-12)
 
     def test_divergent_right_limit_flagged(self):
         law = rc.AccuracyLaw(exponent_a=1.0 / 3.0, t_planck=1e-4)
-        assert rc.fundamental_b_rate(law, 0.0) == math.inf
+        assert law.spread_rate(0.0) == math.inf
 
     def test_ideal_clock_limit(self):
         law = rc.AccuracyLaw(exponent_a=1.0 / 3.0, t_planck=1e-300)
-        assert rc.fundamental_b_rate(law, 1.0) <= 1e-300
+        assert law.spread_rate(1.0) <= 1e-300
 
 
 class TestIdealClock:
