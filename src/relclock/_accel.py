@@ -1,5 +1,4 @@
-"""Batched numpy kernels shared by the dephasing scans and the conditioning
-quadratures."""
+"""Batched numpy kernels for the dephasing scans."""
 
 from __future__ import annotations
 
@@ -13,6 +12,7 @@ def dephasing_product(couplings: np.ndarray, polarizations: np.ndarray, t: np.nd
     return factors.prod(axis=0)
 
 
+# no caller in the package; kept importable for benchmarks/bench_kernels.py and perfbench/
 def sandwich_traces(pq_t: np.ndarray, pt_t: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tr(PQ(t) PT(t) rho PT(t)) and Tr(PT(t) rho) across a stacked time axis."""
     inner = pt_t @ rho @ pt_t
@@ -21,5 +21,6 @@ def sandwich_traces(pq_t: np.ndarray, pt_t: np.ndarray, rho: np.ndarray) -> tupl
     return num, den
 
 
+# always "numpy"; kept because perfbench/worker.py records relclock.backend_name()
 def backend_name() -> str:
     return "numpy"

@@ -370,7 +370,7 @@ def validate_config(cfg: dict) -> list[str]:
     """Static validation; returns one message per violated invariant."""
     if not isinstance(cfg, dict):
         return ["config must be a JSON object"]
-    sections = ("system", "clock", "accuracy", "environment")
+    sections = ("system", "clock", "accuracy", "environment", "output")
     violations = [f"{key} must be a JSON object" for key in sections
                   if cfg.get(key) is not None and not isinstance(cfg[key], dict)]
     if violations:
@@ -379,6 +379,9 @@ def validate_config(cfg: dict) -> list[str]:
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         violations.append("seed must be a nonnegative integer")
+    out_dir = (cfg.get("output") or {}).get("dir", "artifacts")
+    if not isinstance(out_dir, str):
+        violations.append("output.dir must be a string")
 
     clock = cfg.get("clock")
     queries = cfg.get("queries")
@@ -568,12 +571,16 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "ConfigError", "message": f"invalid JSON: {exc}"}))
         return 2
 
+    violations = validate_config(cfg)
     if args.command == "validate":
-        violations = validate_config(cfg)
         print(json.dumps({"valid": not violations, "violations": violations}, sort_keys=True))
         return 0 if not violations else 1
+    if violations:
+        print(json.dumps({"error": "ConfigError", "message": "; ".join(violations)}, sort_keys=True))
+        return 2
 
-    out_dir = args.out or os.environ.get("RELCLOCK_OUT") or cfg.get("output", {}).get("dir", "artifacts")
+    # validated above: cfg is an object, and its output (if any) an object with a string dir
+    out_dir = args.out or os.environ.get("RELCLOCK_OUT") or (cfg.get("output") or {}).get("dir", "artifacts")
     try:
         paths = run_config(cfg, Path(out_dir), parallel=args.parallel)
     except QueryError as exc:

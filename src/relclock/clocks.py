@@ -22,12 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import (
-    DensityOperator,
-    HilbertSpace,
-    Observable,
-    interval_projector,
-)
+from .states import DensityOperator, HilbertSpace, Observable
 
 QUAD_TOL = 1e-8
 
@@ -97,8 +92,8 @@ class ClockModel:
 
     ``dispersion`` holds the Hamiltonian eigenvalues at FFT-ordered wave
     numbers, so time evolution of the (pure) clock state is an elementwise
-    phase in Fourier space.  The dense Hamiltonian is materialized lazily for
-    full-space constructions.
+    phase in Fourier space.  The dense Hamiltonian is materialized lazily and
+    only on request; the conditioning quadratures evolve clock vectors by FFT.
     """
 
     kind: str
@@ -132,16 +127,6 @@ class ClockModel:
         return HilbertSpace((self.n,))
 
     @cached_property
-    def t_obs(self) -> Observable:
-        """Reading observable: the grid position operator."""
-        return Observable(
-            matrix=np.diag(self.x.astype(complex)),
-            space=self.space,
-            eigenvalues=self.x.astype(float),
-            eigenvectors=np.eye(self.n, dtype=complex),
-        )
-
-    @cached_property
     def _fourier_basis(self) -> np.ndarray:
         n = self.n
         j = np.arange(n)
@@ -162,16 +147,21 @@ class ClockModel:
     def rho0(self) -> DensityOperator:
         return DensityOperator.from_vector(self.psi0, self.space)
 
-    def reading_window(self, t0: float) -> tuple[float, float]:
-        return t0 - self.delta_c, t0 + self.delta_c
-
-    def window_projector(self, t0: float) -> np.ndarray:
-        lo, hi = self.reading_window(t0)
+    def _window_mask(self, t0: float, half_width: float | None = None) -> np.ndarray:
+        """Grid nodes whose reading (the grid position) lies within
+        ``half_width`` (default ``delta_c``) of ``t0``; a window beyond the
+        grid's range raises."""
+        half = self.delta_c if half_width is None else half_width
+        lo, hi = t0 - half, t0 + half
         if hi < float(self.x[0]) or lo > float(self.x[-1]):
             raise UnreachableReadingError(
                 f"reading {t0} lies outside the clock range [{self.x[0]}, {self.x[-1]}]"
             )
-        return interval_projector(self.t_obs, lo, hi)
+        return (self.x >= lo) & (self.x <= hi)
+
+    def window_projector(self, t0: float) -> np.ndarray:
+        """Dense projector onto the reading window around ``t0``."""
+        return np.diag(self._window_mask(t0).astype(complex))
 
     def evolve_state(self, t_grid: np.ndarray) -> np.ndarray:
         """Clock wavefunction at each grid time, shape (n, n_t)."""
@@ -182,12 +172,7 @@ class ClockModel:
 
     def window_probabilities(self, t0: float, t_grid: np.ndarray) -> np.ndarray:
         """Probability of the reading window around ``t0`` at each Newtonian time."""
-        lo, hi = self.reading_window(t0)
-        if hi < float(self.x[0]) or lo > float(self.x[-1]):
-            raise UnreachableReadingError(
-                f"reading {t0} lies outside the clock range [{self.x[0]}, {self.x[-1]}]"
-            )
-        mask = (self.x >= lo) & (self.x <= hi)
+        mask = self._window_mask(t0)
         psi_t = self.evolve_state(t_grid)
         return np.sum(np.abs(psi_t[mask, :]) ** 2, axis=0)
 

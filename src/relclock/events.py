@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clocks import ClockModel, clock_density, trapezoid_weights
+from .clocks import ClockModel, clock_density
 from .relational import (
     ReductionEvent,
-    _kron_stack,
     _split_space,
+    _window_sandwich,
     conditional_probabilities,
-    heisenberg_stack,
     reduce_state,
 )
 from .states import (
@@ -42,11 +41,19 @@ def _schrodinger_frame(
     frame labeled by the clock reading.  Pure change of frame: projector-test
     distinguishability of two states conditioned at the same reading is
     unaffected."""
-    u_cl = evolution_operator(clock.h_clock, t0)
-    d_sys = state.dim // clock.n
+    n, dim = clock.n, state.dim
+    d_sys = dim // n
     u_sys = evolution_operator(h_system, t0) if h_system is not None else np.eye(d_sys, dtype=complex)
-    u = np.kron(u_cl, u_sys)
-    return DensityOperator(matrix=u @ state.matrix @ u.conj().T, space=state.space)
+    phase = np.exp(-1j * clock.dispersion * t0)
+
+    def evolve_rows(m: np.ndarray) -> np.ndarray:
+        # (e^{-i H_c t0} (x) u_sys) m, the clock factor as an FFT phase
+        m = np.fft.ifft(phase[:, None, None] * np.fft.fft(m.reshape(n, d_sys, dim), axis=0), axis=0)
+        return (u_sys @ m).reshape(dim, dim)
+
+    return DensityOperator(
+        matrix=evolve_rows(evolve_rows(state.matrix).conj().T).conj().T, space=state.space
+    )
 
 
 def rho_mod(
@@ -82,7 +89,7 @@ def rho_event(
 ) -> DensityOperator:
     """Clock-conditioned state additionally pinched over the outcome family:
     what the state would be had one of the outcomes definitely occurred."""
-    n_cl, d_sys = _split_space(rho, clock)
+    _, d_sys = _split_space(rho, clock)
     if family.dim != d_sys:
         raise ValidationError(f"family dimension {family.dim} does not match system {d_sys}")
     if not family.complete:
@@ -90,22 +97,11 @@ def rho_event(
     if t_grid is None:
         t_grid = clock.default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    w = trapezoid_weights(t_grid)
-    nt = t_grid.size
-
-    win_t = heisenberg_stack(clock.window_projector(t0), clock.h_clock, t_grid)
-    eye_sys = np.broadcast_to(np.eye(d_sys, dtype=complex), (nt, d_sys, d_sys))
-    pt_full = _kron_stack(np.ascontiguousarray(win_t), eye_sys)
-    inner = pt_full @ rho.matrix @ pt_full
-
-    eye_cl = np.broadcast_to(np.eye(n_cl, dtype=complex), (nt, n_cl, n_cl))
-    num = np.zeros((rho.dim, rho.dim), dtype=complex)
-    den = 0.0
-    for p in family.projectors:
-        pa_full = _kron_stack(eye_cl, heisenberg_stack(p, h_system, t_grid))
-        term = pa_full @ inner @ pa_full
-        num += np.einsum("t,tij->ij", w, term)
-    den = float(np.einsum("t,tii->", w, inner).real)
+    num = _window_sandwich(
+        rho.matrix, d_sys, clock, clock._window_mask(t0), family.projectors, h_system, t_grid
+    )
+    # the family is complete, so pinching keeps the trace of the window sandwich
+    den = float(num.trace().real)
     if den <= 1e-300:
         raise ValidationError("clock reading has zero probability")
     out = DensityOperator(matrix=num / den, space=rho.space)

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _accel
 from .clocks import (
     AccuracyLaw,
     ClockDensity,
@@ -34,7 +33,6 @@ from .states import (
     ProjectorFamily,
     ValidationError,
     hermitize,
-    interval_projector,
     spectral_norm,
 )
 
@@ -88,6 +86,7 @@ def heisenberg_stack(op: np.ndarray, h: Observable | None, t_grid: np.ndarray) -
     return _energy_basis_stack(a, h, -t)
 
 
+# no caller in the package; kept importable because perfbench/tracer.py counts its output
 def _kron_stack(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     nt, da, _ = a_t.shape
     db = b_t.shape[1]
@@ -128,6 +127,74 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
     return clock.n, int(np.prod(dims[1:]))
 
 
+# complex entries of the window kernel's largest intermediate (16 MiB): the
+# time grid is walked in chunks so that memory stays O(n r d^2) at any nt
+_CHUNK_ENTRIES = 1 << 20
+
+
+def _window_cores(rho: np.ndarray, d_sys: int, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray):
+    """Yield ``(sl, e, core)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
+
+    With E the isometry onto the r grid nodes in ``mask``, ``e[t] = e^{iH_c t} E``
+    (shape (c, n, r)) factors the Heisenberg window as W(t) = e[t] e[t]^dagger;
+    h_clock is diagonal in the Fourier basis, so ``e`` is a batch of FFTs.
+    ``core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I)`` holds the entry
+    [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where the
+    Heisenberg-evolved full-space window takes (n d)^2.
+    """
+    n, d = clock.n, d_sys
+    r = int(np.count_nonzero(mask))
+    # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
+    rho_j = rho.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
+    e0 = np.fft.fft(np.eye(n, dtype=complex)[:, mask], axis=0)
+    step = max(1, _CHUNK_ENTRIES // max(1, n * d * d * r))
+    for start in range(0, t_grid.size, step):
+        t = t_grid[start : start + step]
+        c = t.size
+        e = np.fft.ifft(np.exp(1j * np.outer(t, clock.dispersion))[:, :, None] * e0, axis=1)
+        y = rho_j @ e.transpose(1, 0, 2).reshape(n, c * r)
+        y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
+        core = (e.conj().transpose(0, 2, 1) @ y).reshape(c, r, d, d, r)
+        yield slice(start, start + c), e, core
+
+
+def _window_sandwich(
+    rho: np.ndarray,
+    d_sys: int,
+    clock: ClockModel,
+    mask: np.ndarray | None,
+    sys_ops: Sequence[np.ndarray],
+    h_system: Observable | None,
+    t_grid: np.ndarray,
+) -> np.ndarray:
+    """sum_t w_t sum_S (W(t) (x) S(t)) rho (W(t) (x) S(t))^dagger, with W(t) the
+    Heisenberg window on the grid nodes in ``mask`` (the identity for None) and
+    S(t) the Heisenberg-evolved system operators, built without any full-space
+    stack: each time contributes (e(t) (x) I) G(t) (e(t) (x) I)^dagger with
+    G(t) the system channel applied to the (r d)^2 core."""
+    n, d = clock.n, d_sys
+    nt = t_grid.size
+    # X -> sum_S S(t) X S(t)^dagger on the system factor: a (d^2, d^2) matrix per time
+    chan = np.zeros((nt, d, d, d, d), dtype=complex)
+    for op in sys_ops:
+        s_t = heisenberg_stack(op, h_system, t_grid)
+        chan += np.einsum("tac,tbd->tabcd", s_t, s_t.conj())
+    chan = trapezoid_weights(t_grid)[:, None, None] * chan.reshape(nt, d * d, d * d)
+    if mask is None:
+        # W(t) = I: the clock unitaries cancel and only the system channel acts
+        blocks = rho.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
+        out = (chan.sum(axis=0) @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1)
+        return out.reshape(n * d, n * d)
+    acc = np.zeros((n * d * d, n), dtype=complex)
+    for sl, e, core in _window_cores(rho, d, clock, mask, t_grid):
+        c, r = e.shape[0], e.shape[2]
+        g = chan[sl] @ core.transpose(0, 2, 3, 1, 4).reshape(c, d * d, r * r)
+        g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r, d * d * r)
+        x = (e @ g).reshape(c, n, d * d, r).transpose(1, 2, 0, 3).reshape(n * d * d, c * r)
+        acc += x @ e.conj().transpose(0, 2, 1).reshape(c * r, n)
+    return acc.reshape(n, d, d, n).transpose(0, 1, 3, 2).reshape(n * d, n * d)
+
+
 def conditional_probabilities(
     rho: DensityOperator,
     projectors: Sequence[np.ndarray] | ProjectorFamily,
@@ -137,33 +204,31 @@ def conditional_probabilities(
     t_grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Probabilities that each projector's quantity holds when the clock reads
-    in the window around ``t0``; shares one reading quadrature across members."""
+    in the window around ``t0``; shares one reading quadrature across members.
+
+    Because the window W(t) is idempotent and acts on the other factor,
+    Tr((I (x) Q(t)) (W(t) (x) I) rho (W(t) (x) I)) = Tr(Q(t) M(t)) with
+    M(t) = Tr_clock((W(t) (x) I) rho), a d x d matrix per time.
+    """
     if isinstance(projectors, ProjectorFamily):
         projectors = projectors.projectors
     n_cl, d_sys = _split_space(rho, clock)
+    sys_projs = [_system_projector(q, rho.space, n_cl) for q in projectors]
     if t_grid is None:
         t_grid = clock.default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
     w = trapezoid_weights(t_grid)
 
-    pt_cl = heisenberg_stack(clock.window_projector(t0), clock.h_clock, t_grid)
-    eye_sys = np.broadcast_to(np.eye(d_sys, dtype=complex), (t_grid.size, d_sys, d_sys))
-    pt_full = _kron_stack(pt_cl, eye_sys)
-    eye_cl = np.broadcast_to(np.eye(n_cl, dtype=complex), (t_grid.size, n_cl, n_cl))
-
-    values = np.empty(len(projectors), dtype=float)
-    den = None
-    for i, q in enumerate(projectors):
-        b = _system_projector(q, rho.space, n_cl)
-        pq_full = _kron_stack(eye_cl, heisenberg_stack(b, h_system, t_grid))
-        num_t, den_t = _accel.sandwich_traces(pq_full, pt_full, rho.matrix)
-        num = float(np.sum(w * num_t))
-        den = float(np.sum(w * den_t))
-        if den <= 0.0:
-            raise UnreachableReadingError(
-                f"clock never reads {t0} on this state: normalization {den}"
-            )
-        values[i] = num / den
+    marginal = np.empty((t_grid.size, d_sys, d_sys), dtype=complex)
+    for sl, _, core in _window_cores(rho.matrix, d_sys, clock, clock._window_mask(t0), t_grid):
+        marginal[sl] = np.einsum("tkabk->tab", core)
+    den = float(np.sum(w * np.einsum("taa->t", marginal).real))
+    if den <= 0.0:
+        raise UnreachableReadingError(f"clock never reads {t0} on this state: normalization {den}")
+    values = np.empty(len(sys_projs), dtype=float)
+    for i, b in enumerate(sys_projs):
+        b_t = heisenberg_stack(b, h_system, t_grid)
+        values[i] = float(np.sum(w * np.einsum("tba,tab->t", b_t, marginal).real)) / den
     if np.any(values < -1e-8) or np.any(values > 1.0 + 1e-8):
         raise ArithmeticError(f"conditional probability left [0, 1]: {values}")
     return np.clip(values, 0.0, 1.0)
@@ -424,43 +489,25 @@ def reduce_state(
     if t_grid is None:
         t_grid = clock.default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    w = trapezoid_weights(t_grid)
-    nt = t_grid.size
 
-    sys_projs = []
-    for e in events:
-        if e.q_proj is not None:
-            sys_projs.append(_system_projector(e.q_proj, rho.space, n_cl))
-        else:
-            sys_projs.append(None)
-    present = [b for b in sys_projs if b is not None]
+    present = [_system_projector(e.q_proj, rho.space, n_cl) for e in events if e.q_proj is not None]
     for i in range(len(present)):
         for j in range(i + 1, len(present)):
             if spectral_norm(present[i] @ present[j] - present[j] @ present[i]) > 1e-9:
                 raise ValidationError("reduction projectors do not commute")
 
-    m_stack = None
-    for e, b in zip(events, sys_projs):
+    # factors taken at the same t multiply under one unitary, so the event list
+    # collapses to the intersection of its windows and the product of its projectors
+    mask = None
+    for e in events:
         if e.t0 is not None:
-            if e.delta is not None:
-                lo, hi = e.t0 - e.delta, e.t0 + e.delta
-                if hi < float(clock.x[0]) or lo > float(clock.x[-1]):
-                    raise UnreachableReadingError(f"reading {e.t0} outside clock range")
-                win = interval_projector(clock.t_obs, lo, hi)
-            else:
-                win = clock.window_projector(e.t0)
-            a_t = heisenberg_stack(win, clock.h_clock, t_grid)
-        else:
-            a_t = np.broadcast_to(np.eye(n_cl, dtype=complex), (nt, n_cl, n_cl))
-        if b is not None:
-            b_t = heisenberg_stack(b, h_system, t_grid)
-        else:
-            b_t = np.broadcast_to(np.eye(d_sys, dtype=complex), (nt, d_sys, d_sys))
-        factor = _kron_stack(np.ascontiguousarray(a_t), np.ascontiguousarray(b_t))
-        m_stack = factor if m_stack is None else m_stack @ factor
+            nodes = clock._window_mask(e.t0, e.delta)
+            mask = nodes if mask is None else mask & nodes
+    product = np.eye(d_sys, dtype=complex)
+    for b in present:
+        product = product @ b
 
-    sandwich = m_stack @ rho.matrix @ np.conj(np.transpose(m_stack, (0, 2, 1)))
-    num = np.einsum("t,tij->ij", w, sandwich)
+    num = _window_sandwich(rho.matrix, d_sys, clock, mask, [product], h_system, t_grid)
     den = float(num.trace().real)
     if den <= 1e-300:
         raise ZeroProbabilityError("reduction has zero probability")

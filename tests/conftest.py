@@ -25,6 +25,12 @@ def free_clock():
 
 
 @pytest.fixture(scope="session")
+def small_clock():
+    # 40 nodes, 3 in a reading window: small enough for the full-space oracles at d = 4
+    return rc.build_free_particle_clock(40, mass=30.0, sigma0=0.5, delta_c=0.35, tau=1.5)
+
+
+@pytest.fixture(scope="session")
 def h_z():
     return rc.Observable.from_matrix(rc.SIGMA_Z)
 

@@ -118,6 +118,51 @@ def brute_reduce_state(
     return out / out.trace()
 
 
+def brute_rho_event(
+    rho: np.ndarray,
+    projectors,
+    window: np.ndarray,
+    h_clock: np.ndarray,
+    h_sys: np.ndarray,
+    t_grid,
+) -> np.ndarray:
+    """Literal full-space pinched window sandwich, normalized by the window
+    probability: sum over t and members P of (I x P(t)) (W(t) x I) rho (W(t) x I) (I x P(t))."""
+    n_cl = h_clock.shape[0]
+    d_sys = h_sys.shape[0]
+    h_full = np.kron(h_clock, np.eye(d_sys)) + np.kron(np.eye(n_cl), h_sys)
+    pt_full = np.kron(window, np.eye(d_sys))
+    values, dens = [], []
+    for t in t_grid:
+        pt_t = heisenberg(pt_full, h_full, t)
+        inner = pt_t @ rho @ pt_t
+        total = np.zeros_like(rho)
+        for p in projectors:
+            pa_t = heisenberg(np.kron(np.eye(n_cl), p), h_full, t)
+            total = total + pa_t @ inner @ pa_t
+        values.append(total)
+        dens.append(trace_product(pt_t, rho).real)
+    out = np.zeros_like(rho)
+    for k in range(len(t_grid) - 1):
+        out = out + 0.5 * (values[k] + values[k + 1]) * (t_grid[k + 1] - t_grid[k])
+    return out / trapezoid(dens, t_grid)
+
+
+def boosted_packet_state(rng, psi0: np.ndarray, x: np.ndarray, d_sys: int) -> np.ndarray:
+    """sum_k a_k (clock packet boosted by kappa_k) x |k>: a clock-system
+    entangled pure state, as a full-space density matrix."""
+    amps = rng.normal(size=d_sys) + 1j * rng.normal(size=d_sys)
+    kicks = rng.uniform(-2.0, 2.0, d_sys)
+    psi = (psi0[:, None] * np.exp(1j * np.outer(x, kicks)) * amps[None, :]).ravel()
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def random_unitary(rng, dim: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
 def brute_moments(t_grid, density):
     w = []
     n = len(t_grid)

@@ -87,6 +87,8 @@ class TestValidate:
             ("conditional_identity", lambda c: c.update(queries=[1]), "query 0 must be an object"),
             ("conditional_identity", lambda c: c["system"].update(initial_state="foo"),
              "system.initial_state 'foo' is not a named state"),
+            ("conditional_identity", lambda c: c.update(output=5), "output must be a JSON object"),
+            ("conditional_identity", lambda c: c["output"].update(dir=5), "output.dir must be a string"),
         ],
     )
     def test_per_kind_and_type_violations_named(self, preset, mutate, message):
@@ -223,6 +225,27 @@ class TestRun:
         payload = json.loads(res.stdout)
         assert payload["error"] == "ConfigError"
         assert fragment in payload["message"]
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda c: {**c, "output": 5}, "output must be a JSON object"),
+            (lambda c: [c], "config must be a JSON object"),
+        ],
+    )
+    def test_malformed_output_section_emits_config_error_json(self, tmp_path, mutate, fragment):
+        # No --out and no RELCLOCK_OUT: the output directory would have to come
+        # from the config itself, which is not an object with an output dict.
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(mutate(load_preset("conditional_identity"))))
+        env = child_env()
+        env.pop("RELCLOCK_OUT", None)
+        res = run_cli("run", str(bad), env=env, cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["error"] == "ConfigError"
+        assert fragment in payload["message"]
+        assert not (tmp_path / "artifacts").exists()
 
     def test_env_var_output_dir(self, tmp_path):
         # No --out: the output directory must come from RELCLOCK_OUT. The child

@@ -81,6 +81,31 @@ class TestRhoEvent:
         assert abs(sys_part[0, 1]) <= 1e-10
         assert sys_part[0, 0].real == pytest.approx(0.5, abs=1e-9)
 
+    def test_entangled_state_matches_full_space_sandwich(self, small_clock, rng):
+        clock = small_clock
+        rho = rc.DensityOperator.from_matrix(
+            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
+        )
+        h_sys = oracles.random_hermitian(rng, 4)
+        u = oracles.random_unitary(rng, 4)
+        p = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ u.conj().T
+        fam = rc.ProjectorFamily(labels=("p", "q"), projectors=(p, np.eye(4) - p))
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        got = rc.rho_event(
+            rho, fam, clock, 1.0, h_system=rc.Observable.from_matrix(h_sys), t_grid=t_grid,
+            picture="heisenberg",
+        )
+        want = oracles.brute_rho_event(
+            rho.matrix, fam.projectors, clock.window_projector(1.0), clock.h_clock.matrix, h_sys, t_grid
+        )
+        np.testing.assert_allclose(got.matrix, want, atol=1e-9)
+
+    def test_window_without_grid_nodes_raises(self):
+        clock = rc.build_ideal_clock(48, tau=4.0, delta_c=0.1 * 4.0 / 44)
+        rho = clock.rho0.tensor(rc.DensityOperator.from_vector([0.6, 0.8], (2,)))
+        with pytest.raises(rc.ValidationError, match="zero probability"):
+            rc.rho_event(rho, z_family(), clock, 10.5 * clock.dx)
+
     def test_incomplete_family_rejected(self, ideal_clock, rng):
         rho = ideal_clock.rho0.tensor(
             rc.DensityOperator.from_matrix(oracles.random_density(rng, 2), (2,))

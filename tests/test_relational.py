@@ -69,6 +69,25 @@ class TestConditionalProbability:
         with pytest.raises(rc.UnreachableReadingError):
             rc.conditional_probability(rho, P_PLUS, free_clock, 60.0, h_system=h_z)
 
+    def test_entangled_d4_family_matches_brute_force(self, small_clock, rng):
+        clock = small_clock
+        rho = rc.DensityOperator.from_matrix(
+            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
+        )
+        h_sys = oracles.random_hermitian(rng, 4)
+        u = oracles.random_unitary(rng, 4)
+        members = [np.outer(u[:, k], u[:, k].conj()) for k in range(4)]
+        fam = rc.ProjectorFamily(labels=(0, 1, 2, 3), projectors=tuple(members))
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        got = rc.conditional_probabilities(
+            rho, fam, clock, 1.0, h_system=rc.Observable.from_matrix(h_sys), t_grid=t_grid
+        )
+        for q, value in zip(members, got):
+            want = oracles.brute_conditional_probability(
+                rho.matrix, q, clock.window_projector(1.0), clock.h_clock.matrix, h_sys, t_grid
+            )
+            assert value == pytest.approx(want, abs=1e-9)
+
 
 class TestPhysicalTimeState:
     def test_delta_density_reproduces_unitary(self, h_z, rng):
@@ -237,6 +256,60 @@ class TestReduceState:
             t_grid,
         )
         np.testing.assert_allclose(got.matrix, want, atol=1e-9)
+
+    def test_window_delta_window_and_two_projectors_match_brute_force(self, small_clock, rng):
+        # the two windows intersect in two grid nodes; the projectors commute
+        # and multiply to a rank-one projector
+        clock = small_clock
+        rho = rc.DensityOperator.from_matrix(
+            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
+        )
+        h_sys = oracles.random_hermitian(rng, 4)
+        u = oracles.random_unitary(rng, 4)
+        p1 = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ u.conj().T
+        p2 = u @ np.diag([1.0, 0.0, 1.0, 0.0]) @ u.conj().T
+        delta_window = np.diag(((clock.x >= 0.9) & (clock.x <= 1.5)).astype(complex))
+        windows = {1.0: clock.window_projector(1.0), 1.2: delta_window}
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        events = [(p1, 1.0), rc.ReductionEvent(q_proj=p2, t0=1.2, delta=0.3)]
+        got = rc.reduce_state(
+            rho, clock, events, h_system=rc.Observable.from_matrix(h_sys), t_grid=t_grid
+        )
+        want = oracles.brute_reduce_state(
+            rho.matrix, [(p1, 1.0), (p2, 1.2)], windows.get, clock.h_clock.matrix, h_sys, t_grid
+        )
+        np.testing.assert_allclose(got.matrix, want, atol=1e-9)
+
+    def test_projector_only_reduction_matches_brute_force(self, small_clock, rng):
+        clock = small_clock
+        rho = rc.DensityOperator.from_matrix(
+            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
+        )
+        h_sys = oracles.random_hermitian(rng, 4)
+        u = oracles.random_unitary(rng, 4)
+        p1 = u @ np.diag([1.0, 1.0, 1.0, 0.0]) @ u.conj().T
+        p2 = u @ np.diag([0.0, 1.0, 1.0, 1.0]) @ u.conj().T
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        events = [(p1, None), (p2, None)]
+        got = rc.reduce_state(
+            rho, clock, events, h_system=rc.Observable.from_matrix(h_sys), t_grid=t_grid
+        )
+        want = oracles.brute_reduce_state(
+            rho.matrix, events, None, clock.h_clock.matrix, h_sys, t_grid
+        )
+        np.testing.assert_allclose(got.matrix, want, atol=1e-9)
+
+    def test_window_without_grid_nodes_raises(self):
+        # a window narrower than the grid spacing, centred between two nodes
+        clock = rc.build_ideal_clock(48, tau=4.0, delta_c=0.1 * 4.0 / 44)
+        rho = clock.rho0.tensor(rc.DensityOperator.from_vector([0.6, 0.8], (2,)))
+        t0 = 10.5 * clock.dx
+        with pytest.raises(rc.UnreachableReadingError):
+            rc.conditional_probability(rho, P_UP, clock, t0)
+        with pytest.raises(rc.ZeroProbabilityError):
+            rc.reduce_state(rho, clock, [(P_UP, t0)])
+        with pytest.raises(rc.ZeroProbabilityError):
+            rc.reduce_state(rho, clock, [rc.ReductionEvent(q_proj=None, t0=t0, delta=0.1 * clock.dx)])
 
     def test_noncommuting_projectors_rejected(self, ideal_clock, h_z, rng):
         rho = ideal_clock.rho0.tensor(qubit_state(rng))
