@@ -101,6 +101,7 @@ class TestRhoEvent:
         np.testing.assert_allclose(got.matrix, want, atol=1e-9)
 
     def test_window_without_grid_nodes_raises(self):
+        # a window a fifth of the grid spacing (tau / 44) wide, centred between two nodes
         clock = rc.build_ideal_clock(48, tau=4.0, delta_c=0.1 * 4.0 / 44)
         rho = clock.rho0.tensor(rc.DensityOperator.from_vector([0.6, 0.8], (2,)))
         with pytest.raises(rc.ValidationError, match="zero probability"):
