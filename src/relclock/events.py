@@ -97,9 +97,7 @@ def rho_event(
     if t_grid is None:
         t_grid = clock.default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    num = _window_sandwich(
-        rho.matrix, d_sys, clock, clock._window_mask(t0), family.projectors, h_system, t_grid
-    )
+    num = _window_sandwich(rho.matrix, clock, clock._window_mask(t0), family.projectors, h_system, t_grid)
     # the family is complete, so pinching keeps the trace of the window sandwich
     den = float(num.trace().real)
     if den <= 1e-300:

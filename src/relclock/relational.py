@@ -132,7 +132,7 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
 _CHUNK_ENTRIES = 1 << 20
 
 
-def _window_cores(rho: np.ndarray, d_sys: int, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray):
+def _window_cores(rho: np.ndarray, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray):
     """Yield ``(sl, e, core)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
 
     With E the isometry onto the r grid nodes in ``mask``, ``e[t] = e^{iH_c t} E``
@@ -142,7 +142,8 @@ def _window_cores(rho: np.ndarray, d_sys: int, clock: ClockModel, mask: np.ndarr
     [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where the
     Heisenberg-evolved full-space window takes (n d)^2.
     """
-    n, d = clock.n, d_sys
+    n = clock.n
+    d = rho.shape[0] // n
     r = int(np.count_nonzero(mask))
     # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
     rho_j = rho.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
@@ -160,7 +161,6 @@ def _window_cores(rho: np.ndarray, d_sys: int, clock: ClockModel, mask: np.ndarr
 
 def _window_sandwich(
     rho: np.ndarray,
-    d_sys: int,
     clock: ClockModel,
     mask: np.ndarray | None,
     sys_ops: Sequence[np.ndarray],
@@ -172,7 +172,8 @@ def _window_sandwich(
     S(t) the Heisenberg-evolved system operators, built without any full-space
     stack: each time contributes (e(t) (x) I) G(t) (e(t) (x) I)^dagger with
     G(t) the system channel applied to the (r d)^2 core."""
-    n, d = clock.n, d_sys
+    n = clock.n
+    d = rho.shape[0] // n
     nt = t_grid.size
     # X -> sum_S S(t) X S(t)^dagger on the system factor: a (d^2, d^2) matrix per time
     chan = np.zeros((nt, d, d, d, d), dtype=complex)
@@ -186,7 +187,7 @@ def _window_sandwich(
         out = (chan.sum(axis=0) @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1)
         return out.reshape(n * d, n * d)
     acc = np.zeros((n * d * d, n), dtype=complex)
-    for sl, e, core in _window_cores(rho, d, clock, mask, t_grid):
+    for sl, e, core in _window_cores(rho, clock, mask, t_grid):
         c, r = e.shape[0], e.shape[2]
         g = chan[sl] @ core.transpose(0, 2, 3, 1, 4).reshape(c, d * d, r * r)
         g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r, d * d * r)
@@ -220,7 +221,7 @@ def conditional_probabilities(
     w = trapezoid_weights(t_grid)
 
     marginal = np.empty((t_grid.size, d_sys, d_sys), dtype=complex)
-    for sl, _, core in _window_cores(rho.matrix, d_sys, clock, clock._window_mask(t0), t_grid):
+    for sl, _, core in _window_cores(rho.matrix, clock, clock._window_mask(t0), t_grid):
         marginal[sl] = np.einsum("tkabk->tab", core)
     den = float(np.sum(w * np.einsum("taa->t", marginal).real))
     if den <= 0.0:
@@ -507,7 +508,7 @@ def reduce_state(
     for b in present:
         product = product @ b
 
-    num = _window_sandwich(rho.matrix, d_sys, clock, mask, [product], h_system, t_grid)
+    num = _window_sandwich(rho.matrix, clock, mask, [product], h_system, t_grid)
     den = float(num.trace().real)
     if den <= 1e-300:
         raise ZeroProbabilityError("reduction has zero probability")
