@@ -36,6 +36,8 @@ import numpy as np
 from . import fixtures
 from .clocks import AccuracyLaw, ClockModel, build_free_particle_clock, build_ideal_clock, clock_density
 from .dephasing import (
+    _PRIMES,
+    DIMENSION_CAP,
     SpinEnvironmentModel,
     exact_reduced_coherence,
     interference_factor,
@@ -309,8 +311,7 @@ def _run_zurek(ctx: dict, q: dict, path: Path) -> None:
         t_values = np.linspace(0.0, t_max, int(q.get("n_points", 501)))
     z = interference_factor(env, t_values)
     rows = []
-    for t_value, z_value in zip(t_values, np.atleast_1d(z)):
-        exact = exact_reduced_coherence(env, float(t_value))
+    for t_value, z_value, exact in zip(t_values, z, exact_reduced_coherence(env, t_values)):
         predicted = z_value * env.system_init.matrix[1, 0]
         rows.append(
             [t_value, z_value.real, z_value.imag, abs(z_value), exact.real, exact.imag,
@@ -425,10 +426,24 @@ def validate_config(cfg: dict) -> list[str]:
     env = cfg.get("environment")
     if env is not None:
         n_spins = env.get("n_spins")
+        mode = env.get("mode", "incommensurate")
         if not (_is_number(n_spins) and n_spins >= 1):
             violations.append("environment.n_spins must be at least 1")
-        if env.get("mode", "incommensurate") not in ("incommensurate", "factorial", "harmonic"):
-            violations.append(f"environment.mode {env.get('mode')!r} is not recognized")
+        else:
+            # qubit plus N spins: 2^(N+1) <= DIMENSION_CAP
+            max_spins = DIMENSION_CAP.bit_length() - 2
+            if n_spins > max_spins:
+                violations.append(
+                    f"environment.n_spins {n_spins} exceeds {max_spins}: "
+                    f"the dimension 2^(n_spins+1) must stay within the cap {DIMENSION_CAP}"
+                )
+            if mode == "incommensurate" and n_spins > len(_PRIMES):
+                violations.append(
+                    f"environment.n_spins {n_spins} exceeds the {len(_PRIMES)} spins "
+                    "of the incommensurate mode"
+                )
+        if mode not in ("incommensurate", "factorial", "harmonic"):
+            violations.append(f"environment.mode {mode!r} is not recognized")
 
     system = cfg.get("system")
     if system is not None:
@@ -457,8 +472,14 @@ def validate_config(cfg: dict) -> list[str]:
             violations.append(f"query {i} ({kind}) requires the accuracy section")
         if kind == "master-evolve" and q.get("rate", "fundamental") == "fundamental" and acc is None:
             violations.append(f"query {i} (master-evolve) requires the accuracy section")
-        if kind == "conditional-prob" and "T0" not in q:
-            violations.append(f"query {i} (conditional-prob) needs T0")
+        if kind == "conditional-prob":
+            if "T0" not in q:
+                violations.append(f"query {i} (conditional-prob) needs T0")
+            proj = q.get("projector")
+            if proj is None:
+                violations.append(f"query {i} (conditional-prob) needs a projector")
+            elif isinstance(proj, str) and proj != "identity" and proj not in _NAMED_PROJECTORS:
+                violations.append(f"query {i} (conditional-prob) projector {proj!r} is not a named projector")
         if kind == "master-evolve":
             if not _positive(q.get("T_end")):
                 violations.append(f"query {i} (master-evolve) needs T_end > 0")

@@ -165,27 +165,30 @@ def interference_factor(model: SpinEnvironmentModel, t) -> complex | np.ndarray:
     return complex(z[0]) if np.isscalar(t) or np.ndim(t) == 0 else z
 
 
-def exact_reduced_coherence(model: SpinEnvironmentModel, t: float) -> complex:
+def exact_reduced_coherence(model: SpinEnvironmentModel, t) -> complex | np.ndarray:
     """Off-diagonal of the reduced system state from full-register evolution.
 
     Evolves each pure component of the initial product state through the
     (diagonal) dephasing Hamiltonian on the complete 2^(N+1)-dimensional space
-    and partially traces the environment.
+    and partially traces the environment.  ``t`` may be a scalar (returns a
+    complex) or an array of times; the register and its spectrum are built
+    once for all of them.
     """
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     energies = model.branch_energies()
     chi = model.env_amplitudes()
     w_sys, v_sys = np.linalg.eigh(model.system_init.matrix)
-    coherence = 0.0 + 0.0j
-    for p, vec in zip(w_sys, v_sys.T):
-        if p < 1e-14:
-            continue
-        # full statevector, system factor first: index (s, e)
-        psi = np.kron(vec, chi).reshape(2, -1)
-        psi_t = np.empty_like(psi)
-        psi_t[0] = psi[0] * np.exp(-1j * energies * t)
-        psi_t[1] = psi[1] * np.exp(+1j * energies * t)
-        coherence += p * np.vdot(psi_t[0], psi_t[1])
-    return complex(coherence)
+    # full statevector per component, system factor first: index (s, e)
+    components = [(p, np.kron(vec, chi).reshape(2, -1)) for p, vec in zip(w_sys, v_sys.T) if p >= 1e-14]
+    out = np.empty(t_arr.size, dtype=complex)
+    for i, t_value in enumerate(t_arr):
+        lower = np.exp(-1j * energies * t_value)
+        upper = np.exp(+1j * energies * t_value)
+        coherence = 0.0 + 0.0j
+        for p, psi in components:
+            coherence += p * np.vdot(psi[0] * lower, psi[1] * upper)
+        out[i] = coherence
+    return complex(out[0]) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)

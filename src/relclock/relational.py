@@ -32,6 +32,8 @@ from .states import (
     Observable,
     ProjectorFamily,
     ValidationError,
+    _density_states,
+    _StackValidationError,
     hermitize,
     spectral_norm,
 )
@@ -296,8 +298,7 @@ class Trajectory:
 def newtonian_trajectory(rho0: DensityOperator, h: Observable, t_grid: np.ndarray) -> Trajectory:
     """Unitary Schroedinger evolution sampled on a Newtonian time grid."""
     t = np.asarray(t_grid, dtype=float)
-    stack = _energy_basis_stack(rho0.matrix, h, t)
-    states = [DensityOperator(matrix=m, space=rho0.space) for m in stack]
+    states = _density_states(_energy_basis_stack(rho0.matrix, h, t), rho0.space)
     return Trajectory(times=t, states=tuple(states), metadata={"kind": "unitary"})
 
 
@@ -431,14 +432,12 @@ def master_evolve(
     b0 = setup.accumulated_b(0.0)
     db = np.array([setup.accumulated_b(t) - b0 for t in times])
     stack = _energy_basis_stack(rho0.matrix, setup.h_system, times, db, setup.sign_convention)
-    states = [rho0]
-    for t, m in zip(times[1:], stack[1:]):
-        try:
-            states.append(DensityOperator(matrix=m, space=rho0.space))
-        except ValidationError as exc:
-            raise MasterIntegrationError(
-                f"state is no longer a density operator at T = {t}: {exc}"
-            ) from exc
+    try:
+        states = [rho0] + _density_states(stack[1:], rho0.space)
+    except _StackValidationError as exc:
+        raise MasterIntegrationError(
+            f"state is no longer a density operator at T = {times[1 + exc.index]}: {exc.reason}"
+        ) from exc
     meta = {
         "dt": dt,
         "sign_convention": setup.sign_convention,

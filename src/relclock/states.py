@@ -80,6 +80,87 @@ def _check_square(m: np.ndarray, dim: int | None = None, what: str = "operator")
         raise ValidationError(f"{what} has dimension {m.shape[0]}, expected {dim}")
 
 
+class _StackValidationError(ValidationError):
+    """A member of a stack failed validation; ``index`` is the first such member."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"state {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
+def _check_density_stack(stack: np.ndarray) -> np.ndarray:
+    """Validate a (k, d, d) stack of density matrices; return it hermitized and read-only.
+
+    Each member passes, in order: finite entries, Hermitian defect <= TOL_HERM,
+    |trace - 1| <= TOL_TRACE after hermitizing, and lambda_min >= -TOL_PSD.
+    Positivity is certified by one Cholesky factorization of m + TOL_PSD I,
+    which exists exactly when lambda_min > -TOL_PSD, up to the O(d eps)
+    rounding that eigvalsh has as well.  Only a failed factorization runs
+    eigvalsh, which decides and names the eigenvalue.  The error is a
+    ``_StackValidationError`` naming the first failing member and the first
+    check it fails.
+    """
+    m = np.asarray(stack, dtype=complex)
+    k, d = m.shape[0], m.shape[-1]
+    finite = np.isfinite(m).all(axis=(1, 2))
+    # one contiguous m^dagger: elementwise work on a transposed view is several times slower
+    h = np.conj(m.transpose(0, 2, 1), order="C")
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(m - h).max(axis=(1, 2))
+        # 0.5 (m + m^dagger) with the arithmetic of ``hermitize`` (addition commutes exactly)
+        h += m
+        h *= 0.5
+        tr = np.trace(h, axis1=1, axis2=2).real
+    bad = ~finite | (defect > TOL_HERM) | (np.abs(tr - 1.0) > TOL_TRACE)
+    first = int(np.argmax(bad)) if bad.any() else k
+
+    # members before the first structural failure may fail positivity first.
+    # The shift goes onto h's own diagonal and is undone from a saved copy of
+    # it: a shifted copy of h would hold one more (k, d, d) array at the peak.
+    diagonal = h[:first].reshape(first, d * d)[:, :: d + 1]
+    saved = diagonal.copy()
+    diagonal += TOL_PSD
+    try:
+        np.linalg.cholesky(h[:first])
+        certified = True
+    except np.linalg.LinAlgError:
+        certified = False
+    diagonal[...] = saved
+    if not certified:
+        lo = np.linalg.eigvalsh(h[:first])[:, 0]
+        neg = np.flatnonzero(lo < -TOL_PSD)
+        if neg.size:
+            i = int(neg[0])
+            raise _StackValidationError(i, f"density matrix has negative eigenvalue {lo[i]:.3e}") from None
+    if first < k:
+        if not finite[first]:
+            reason = "density matrix has non-finite entries"
+        elif defect[first] > TOL_HERM:
+            reason = f"matrix is not Hermitian: max asymmetry {defect[first]:.3e} > {TOL_HERM:.1e}"
+        else:
+            reason = f"density matrix trace {float(tr[first])!r} differs from 1 beyond {TOL_TRACE:.1e}"
+        raise _StackValidationError(first, reason)
+    h.flags.writeable = False
+    return h
+
+
+def _density_states(stack: np.ndarray, space: HilbertSpace) -> list["DensityOperator"]:
+    """DensityOperators for every member of a (k, d, d) stack, validated once
+    as a whole; the error of a failing member names its index."""
+    m = np.asarray(stack, dtype=complex)
+    dim = space.total_dim
+    if m.ndim != 3 or m.shape[1:] != (dim, dim):
+        raise ValidationError(f"density stack has shape {m.shape}, expected (k, {dim}, {dim})")
+    states = []
+    for matrix in _check_density_stack(m):
+        rho = object.__new__(DensityOperator)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "space", space)
+        states.append(rho)
+    return states
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Unit-trace positive Hermitian matrix on a composite space."""
@@ -90,14 +171,11 @@ class DensityOperator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         _check_square(m, self.space.total_dim, "density matrix")
-        m = hermitize(m, TOL_HERM)
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValidationError(f"density matrix trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -TOL_PSD:
-            raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        try:
+            checked = _check_density_stack(m[None])
+        except _StackValidationError as exc:
+            raise ValidationError(exc.reason) from None
+        object.__setattr__(self, "matrix", checked[0])
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,33 @@ class TestValidate:
         res = run_cli("validate", str(bad))
         assert res.returncode == 1, res.stdout + res.stderr
         assert "clock.delta_C must be > 0" in json.loads(res.stdout)["violations"]
+
+    @pytest.mark.parametrize(
+        "preset, mutate, message",
+        [
+            ("zurek_n8", lambda c: c.update(environment={"n_spins": 14, "mode": "factorial"}),
+             "environment.n_spins 14 exceeds 13: the dimension 2^(n_spins+1) must stay within the cap 16384"),
+            ("zurek_n8", lambda c: c.update(environment={"n_spins": 15, "mode": "incommensurate"}),
+             "environment.n_spins 15 exceeds the 14 spins of the incommensurate mode"),
+            ("conditional_identity", lambda c: c["queries"][0].update(projector="sideways"),
+             "query 0 (conditional-prob) projector 'sideways' is not a named projector"),
+            ("conditional_identity", lambda c: c["queries"][0].pop("projector"),
+             "query 0 (conditional-prob) needs a projector"),
+        ],
+    )
+    def test_configs_that_cannot_run_are_violations(self, tmp_path, preset, mutate, message):
+        cfg = load_preset(preset)
+        mutate(cfg)
+        assert message in cli.validate_config(cfg)
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            cli.run_config(cfg, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("mode", ["incommensurate", "factorial", "harmonic"])
+    def test_largest_environment_within_the_cap_is_clean(self, mode):
+        cfg = load_preset("zurek_n8")
+        cfg["environment"] = {"n_spins": 13, "mode": mode}
+        assert cli.validate_config(cfg) == []
 
 
 class TestRun:

@@ -70,6 +70,17 @@ class TestExactReducedCoherence:
         want = rc.interference_factor(model, t) * mixed.matrix[1, 0]
         assert abs(exact - want) <= 1e-9
 
+    def test_array_of_times_matches_scalar_calls_exactly(self):
+        mixed = rc.DensityOperator.from_matrix(
+            np.array([[0.6, 0.25 - 0.05j], [0.25 + 0.05j, 0.4]]), (2,)
+        )
+        for model in (rc.make_incommensurate_model(7), rc.make_incommensurate_model(5, system_init=mixed)):
+            t = np.linspace(0.0, 12.0, 37)
+            many = rc.exact_reduced_coherence(model, t)
+            assert many.shape == t.shape
+            assert np.array_equal(many, [rc.exact_reduced_coherence(model, float(x)) for x in t])
+        assert isinstance(rc.exact_reduced_coherence(model, np.float64(1.5)), complex)
+
     def test_dimension_cap(self):
         with pytest.raises(rc.ValidationError, match="cap"):
             SpinEnvironmentModel(

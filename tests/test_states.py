@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relclock as rc
-from relclock.states import evolution_operator, herm_defect
+from relclock.states import TOL_PSD, _density_states, evolution_operator, herm_defect
 
 import oracles
 
@@ -189,6 +189,112 @@ class TestDensityOperatorValidation:
         rho = rc.DensityOperator.maximally_mixed((2,))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+
+def with_spectrum(rng, spectrum) -> np.ndarray:
+    """U diag(spectrum) U^dagger for a random unitary U."""
+    u = oracles.random_unitary(rng, len(spectrum))
+    return (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+
+
+def eigvalsh_verdict(m: np.ndarray) -> bool:
+    """Acceptance by the full-spectrum positivity test on a unit-trace matrix."""
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) >= -TOL_PSD
+
+
+NON_FINITE = [[[np.nan, 0.0], [0.0, 1.0]], [[0.5, np.inf], [np.inf, 0.5]]]
+
+
+def no_spectrum(monkeypatch):
+    """Make a full eigvalsh spectrum an error: acceptance must rest on the factorization."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on a state the certificate should accept")
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+
+
+class TestPositivityCertificate:
+    @pytest.mark.parametrize("lam_min, accepted", [(-0.5 * TOL_PSD, True), (-2.0 * TOL_PSD, False)])
+    def test_tolerance_edge(self, rng, monkeypatch, lam_min, accepted):
+        m = with_spectrum(rng, [lam_min, 0.2, 0.3, 0.5 - lam_min])
+        if accepted:
+            no_spectrum(monkeypatch)
+            rc.DensityOperator.from_matrix(m, (4,))
+        else:
+            with pytest.raises(rc.ValidationError, match="negative eigenvalue"):
+                rc.DensityOperator.from_matrix(m, (4,))
+
+    def test_rank_one_pure_state_of_dimension_1024(self, rng, monkeypatch):
+        psi = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+        no_spectrum(monkeypatch)
+        rho = rc.DensityOperator.from_vector(psi, (1024,))
+        assert abs(rho.purity() - 1.0) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10_000),
+           st.floats(min_value=-4.0, max_value=4.0))
+    def test_verdict_equals_full_spectrum_verdict(self, dim, seed, lam_scale):
+        rng = np.random.default_rng(seed)
+        rest = rng.uniform(0.0, 1.0, dim - 1)
+        lam_min = lam_scale * TOL_PSD
+        m = with_spectrum(rng, [lam_min, *((1.0 - lam_min) * rest / rest.sum())])
+        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+        assume(not -1.01 * TOL_PSD <= lo <= -0.99 * TOL_PSD)
+        try:
+            rc.DensityOperator.from_matrix(m, (dim,))
+            accepted = True
+        except rc.ValidationError:
+            accepted = False
+        assert accepted == eigvalsh_verdict(m)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(rc.ValidationError, match="non-finite"):
+            rc.DensityOperator.from_matrix(bad, (2,))
+
+
+class TestDensityStack:
+    SPACE = rc.HilbertSpace((3,))
+
+    def stack(self, rng, k=6):
+        # a 1e-13 anti-Hermitian part makes the hermitizing arithmetic visible
+        noise = 1e-13 * np.stack([oracles.random_hermitian(rng, 3) for _ in range(k)])
+        return np.stack([oracles.random_density(rng, 3) for _ in range(k)]) + 1j * noise
+
+    def test_bitwise_equal_to_one_at_a_time(self, rng):
+        stack = self.stack(rng)
+        states = _density_states(stack, self.SPACE)
+        assert len(states) == len(stack)
+        for m, rho in zip(stack, states):
+            assert np.array_equal(rho.matrix, rc.DensityOperator(matrix=m, space=self.SPACE).matrix)
+            assert np.array_equal(rho.matrix, 0.5 * (m + m.conj().T))
+            assert rho.space == self.SPACE and not rho.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "spoil, index, message",
+        [
+            ({2: np.diag([1.5, -0.5, 0.0]), 4: np.diag([0.5, 0.3, 0.0])}, 2, "negative eigenvalue"),
+            ({1: np.diag([0.5, 0.3, 0.0]), 3: np.diag([1.5, -0.5, 0.0])}, 1, "trace"),
+            ({3: np.array([[0.5, 0.3, 0], [0.4, 0.5, 0], [0, 0, 0]])}, 3, "not Hermitian"),
+            ({5: np.diag([1.5, -0.5, 0.0]), 4: np.diag([np.nan, 1.0, 0.0])}, 4, "non-finite"),
+        ],
+    )
+    def test_names_the_first_failing_index(self, rng, spoil, index, message):
+        stack = self.stack(rng)
+        for i, m in spoil.items():
+            stack[i] = m
+        with pytest.raises(rc.ValidationError, match=f"state {index}: .*{message}") as info:
+            _density_states(stack, self.SPACE)
+        assert info.value.index == index
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_entries_rejected(self, bad):
+        stack = np.stack([np.eye(2) / 2, bad, np.eye(2) / 2])
+        with pytest.raises(rc.ValidationError, match="state 1: .*non-finite"):
+            _density_states(stack, rc.HilbertSpace((2,)))
+
+    def test_shape_must_match_the_space(self, rng):
+        with pytest.raises(rc.ValidationError, match="shape"):
+            _density_states(self.stack(rng), rc.HilbertSpace((2,)))
 
 
 class TestSerialization:
