@@ -363,8 +363,18 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_integer(x) -> bool:
+    return _is_number(x) and float(x).is_integer()
+
+
 def _positive(x) -> bool:
     return _is_number(x) and x > 0
+
+
+# query values the runners convert with float() or int(): a string fails there
+# with a bare ValueError, and int() silently truncates a fraction
+_NUMBER_KEYS = ("T0", "alpha", "omega", "planck_per_unit", "t_star", "t_max")
+_INTEGER_KEYS = ("n_particles", "samples", "n_points", "record_stride")
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -410,7 +420,9 @@ def validate_config(cfg: dict) -> list[str]:
         if "tau" not in clock:
             violations.append("clock.tau is required")
         grid_points = clock.get("grid_points", 64)
-        if not (_is_number(grid_points) and grid_points >= 8):
+        if not _is_integer(grid_points):
+            violations.append("clock.grid_points must be an integer")
+        elif grid_points < 8:
             violations.append("clock.grid_points must be at least 8")
     elif needs_clock:
         violations.append("config has no clock section but a query requires one")
@@ -427,7 +439,9 @@ def validate_config(cfg: dict) -> list[str]:
     if env is not None:
         n_spins = env.get("n_spins")
         mode = env.get("mode", "incommensurate")
-        if not (_is_number(n_spins) and n_spins >= 1):
+        if not _is_integer(n_spins):
+            violations.append("environment.n_spins must be an integer")
+        elif n_spins < 1:
             violations.append("environment.n_spins must be at least 1")
         else:
             # qubit plus N spins: 2^(N+1) <= DIMENSION_CAP
@@ -464,6 +478,12 @@ def validate_config(cfg: dict) -> list[str]:
         if kind not in QUERY_KINDS:
             violations.append(f"query {i}: unknown kind {kind!r}")
             continue
+        for key in _NUMBER_KEYS:
+            if key in q and not _is_number(q[key]):
+                violations.append(f"query {i} ({kind}) {key} must be a number")
+        for key in _INTEGER_KEYS:
+            if key in q and not _is_integer(q[key]):
+                violations.append(f"query {i} ({kind}) {key} must be an integer")
         if kind in ("zurek", "revival-suppression") and env is None:
             violations.append(f"query {i} ({kind}) references undefined environment")
         if kind == "detect-event" and q.get("system_state", "coherent") == "dephased" and env is None:
@@ -484,7 +504,7 @@ def validate_config(cfg: dict) -> list[str]:
             if not _positive(q.get("T_end")):
                 violations.append(f"query {i} (master-evolve) needs T_end > 0")
             stride = q.get("record_stride", 1)
-            if not (_is_number(stride) and stride >= 1):
+            if _is_number(stride) and stride < 1:
                 violations.append(f"query {i} (master-evolve) record_stride must be at least 1")
         if kind in ("physical-evolve", "decay-scan"):
             t_values = q.get("T_values")

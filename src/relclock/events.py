@@ -51,8 +51,11 @@ def _schrodinger_frame(
         m = np.fft.ifft(phase[:, None, None] * np.fft.fft(m.reshape(n, d_sys, dim), axis=0), axis=0)
         return (u_sys @ m).reshape(dim, dim)
 
+    # U m U^dagger = (U (U m)^dagger)^dagger, taken into a C-ordered matrix: the
+    # checker's elementwise passes run slower on a transposed layout.  No name
+    # holds the intermediate, which would keep one more matrix alive in the checker.
     return DensityOperator(
-        matrix=evolve_rows(evolve_rows(state.matrix).conj().T).conj().T, space=state.space
+        matrix=np.conj(evolve_rows(evolve_rows(state.matrix).conj().T).T, order="C"), space=state.space
     )
 
 
@@ -97,7 +100,7 @@ def rho_event(
     if t_grid is None:
         t_grid = clock.default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    num = _window_sandwich(rho.matrix, clock, clock._window_mask(t0), family.projectors, h_system, t_grid)
+    num = _window_sandwich(rho, clock, clock._window_mask(t0), family.projectors, h_system, t_grid)
     # the family is complete, so pinching keeps the trace of the window sandwich
     den = float(num.trace().real)
     if den <= 1e-300:

@@ -134,7 +134,9 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
 _CHUNK_ENTRIES = 1 << 20
 
 
-def _window_cores(rho: np.ndarray, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray):
+def _window_cores(
+    rho: DensityOperator, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray, traced: bool = False
+):
     """Yield ``(sl, e, core)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
 
     With E the isometry onto the r grid nodes in ``mask``, ``e[t] = e^{iH_c t} E``
@@ -142,27 +144,57 @@ def _window_cores(rho: np.ndarray, clock: ClockModel, mask: np.ndarray, t_grid: 
     h_clock is diagonal in the Fourier basis, so ``e`` is a batch of FFTs.
     ``core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I)`` holds the entry
     [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where the
-    Heisenberg-evolved full-space window takes (n d)^2.
+    Heisenberg-evolved full-space window takes (n d)^2.  With ``traced`` the
+    kernel yields the d x d marginal Tr_r core[t] in place of the core.
+
+    The state enters as a product rho = A B, and core[t] = L(t) R(t) with
+    L(t) = (e[t]^dagger (x) I) A and R(t) = B (e[t] (x) I).  A dense state has
+    A = rho and B = I: rho (e[t] (x) I) is one matmul with the dense rho, at
+    O(n^2 r d^2) per time.  A Gram factor F has A = F and B = F^dagger, so
+    R(t) = L(t)^dagger, and L(t) is the window rows of F's clock index evolved
+    by one FFT per time, at O(k d n log n); a marginal then needs no ``e``,
+    which is None.
     """
     n = clock.n
-    d = rho.shape[0] // n
+    d = rho.dim // n
     r = int(np.count_nonzero(mask))
-    # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
-    rho_j = rho.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
-    e0 = np.fft.fft(np.eye(n, dtype=complex)[:, mask], axis=0)
-    step = max(1, _CHUNK_ENTRIES // max(1, n * d * d * r))
+    f = rho.factor
+    if f is None:
+        # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
+        rho_j = rho.matrix.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
+        per_time = n * d * d * r
+    else:
+        k = f.shape[1]
+        f_hat = np.fft.fft(f.reshape(n, d * k), axis=0)
+        per_time = n * d * (k if traced else max(k, d * r))
+    with_e = f is None or not traced
+    if with_e:
+        e0 = np.fft.fft(np.eye(n, dtype=complex)[:, mask], axis=0)
+    step = max(1, _CHUNK_ENTRIES // max(1, per_time))
     for start in range(0, t_grid.size, step):
         t = t_grid[start : start + step]
         c = t.size
-        e = np.fft.ifft(np.exp(1j * np.outer(t, clock.dispersion))[:, :, None] * e0, axis=1)
-        y = rho_j @ e.transpose(1, 0, 2).reshape(n, c * r)
-        y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
-        core = (e.conj().transpose(0, 2, 1) @ y).reshape(c, r, d, d, r)
-        yield slice(start, start + c), e, core
+        phase = np.exp(1j * np.outer(t, clock.dispersion))
+        e = np.fft.ifft(phase[:, :, None] * e0, axis=1) if with_e else None
+        if f is None:
+            y = rho_j @ e.transpose(1, 0, 2).reshape(n, c * r)
+            y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
+            core = (e.conj().transpose(0, 2, 1) @ y).reshape(c, r, d, d, r)
+            out = np.einsum("tkabk->tab", core) if traced else core
+        else:
+            # L(t): e^{-iH_c t} on the clock index of F, then the window rows
+            left = np.fft.ifft(phase.conj()[:, :, None] * f_hat, axis=1)[:, mask].reshape(c, r, d, k)
+            if traced:
+                out = np.einsum("tkaj,tkbj->tab", left, left.conj())
+            else:
+                flat = left.reshape(c, r * d, k)
+                core = flat @ flat.conj().transpose(0, 2, 1)
+                out = core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
+        yield slice(start, start + c), e, out
 
 
 def _window_sandwich(
-    rho: np.ndarray,
+    rho: DensityOperator,
     clock: ClockModel,
     mask: np.ndarray | None,
     sys_ops: Sequence[np.ndarray],
@@ -175,7 +207,7 @@ def _window_sandwich(
     stack: each time contributes (e(t) (x) I) G(t) (e(t) (x) I)^dagger with
     G(t) the system channel applied to the (r d)^2 core."""
     n = clock.n
-    d = rho.shape[0] // n
+    d = rho.dim // n
     nt = t_grid.size
     # X -> sum_S S(t) X S(t)^dagger on the system factor: a (d^2, d^2) matrix per time
     chan = np.zeros((nt, d, d, d, d), dtype=complex)
@@ -185,7 +217,7 @@ def _window_sandwich(
     chan = trapezoid_weights(t_grid)[:, None, None] * chan.reshape(nt, d * d, d * d)
     if mask is None:
         # W(t) = I: the clock unitaries cancel and only the system channel acts
-        blocks = rho.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
+        blocks = rho.matrix.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
         out = (chan.sum(axis=0) @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1)
         return out.reshape(n * d, n * d)
     acc = np.zeros((n * d * d, n), dtype=complex)
@@ -223,8 +255,8 @@ def conditional_probabilities(
     w = trapezoid_weights(t_grid)
 
     marginal = np.empty((t_grid.size, d_sys, d_sys), dtype=complex)
-    for sl, _, core in _window_cores(rho.matrix, clock, clock._window_mask(t0), t_grid):
-        marginal[sl] = np.einsum("tkabk->tab", core)
+    for sl, _, m in _window_cores(rho, clock, clock._window_mask(t0), t_grid, traced=True):
+        marginal[sl] = m
     den = float(np.sum(w * np.einsum("taa->t", marginal).real))
     if den <= 0.0:
         raise UnreachableReadingError(f"clock never reads {t0} on this state: normalization {den}")
@@ -507,7 +539,7 @@ def reduce_state(
     for b in present:
         product = product @ b
 
-    num = _window_sandwich(rho.matrix, clock, mask, [product], h_system, t_grid)
+    num = _window_sandwich(rho, clock, mask, [product], h_system, t_grid)
     den = float(num.trace().real)
     if den <= 1e-300:
         raise ZeroProbabilityError("reduction has zero probability")

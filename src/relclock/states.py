@@ -80,6 +80,10 @@ def _check_square(m: np.ndarray, dim: int | None = None, what: str = "operator")
         raise ValidationError(f"{what} has dimension {m.shape[0]}, expected {dim}")
 
 
+# complex entries per block of the Hermitian-defect pass (1 MiB)
+_BLOCK_ENTRIES = 1 << 16
+
+
 class _StackValidationError(ValidationError):
     """A member of a stack failed validation; ``index`` is the first such member."""
 
@@ -106,8 +110,18 @@ def _check_density_stack(stack: np.ndarray) -> np.ndarray:
     finite = np.isfinite(m).all(axis=(1, 2))
     # one contiguous m^dagger: elementwise work on a transposed view is several times slower
     h = np.conj(m.transpose(0, 2, 1), order="C")
+    # the defect walks blocks of segments, whole members while one fits a block
+    # and single rows beyond: a whole m - m^dagger and its modulus would hold
+    # 1.5 stacks more at the peak
+    seg = d * d if d * d <= _BLOCK_ENTRIES else d
+    m_seg, h_seg = m.reshape(-1, seg), h.reshape(-1, seg)
+    seg_defect = np.empty(m_seg.shape[0])
+    step = max(1, _BLOCK_ENTRIES // seg)
     with np.errstate(invalid="ignore"):
-        defect = np.abs(m - h).max(axis=(1, 2))
+        for start in range(0, seg_defect.size, step):
+            block = m_seg[start : start + step] - h_seg[start : start + step]
+            np.abs(block).max(axis=1, out=seg_defect[start : start + step])
+        defect = seg_defect.reshape(k, d * d // seg).max(axis=1)
         # 0.5 (m + m^dagger) with the arithmetic of ``hermitize`` (addition commutes exactly)
         h += m
         h *= 0.5
@@ -155,27 +169,84 @@ def _density_states(stack: np.ndarray, space: HilbertSpace) -> list["DensityOper
     states = []
     for matrix in _check_density_stack(m):
         rho = object.__new__(DensityOperator)
-        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "_matrix", matrix)
         object.__setattr__(rho, "space", space)
+        object.__setattr__(rho, "factor", None)
         states.append(rho)
     return states
 
 
-@dataclass(frozen=True)
 class DensityOperator:
-    """Unit-trace positive Hermitian matrix on a composite space."""
+    """Unit-trace positive Hermitian matrix on a composite space.
 
-    matrix: np.ndarray
-    space: HilbertSpace
+    A state is held either as its matrix or as a Gram factor F of shape
+    (N, k) with rho = F F^dagger: ``from_vector`` keeps F = v (k = 1), and
+    ``tensor`` of two factored states keeps kron(F1, F2).  The matrix of a
+    factored state is built on first access and cached; the window kernel of
+    ``relational`` works on the factor.  Instances are immutable.
+    """
+
+    __slots__ = ("space", "factor", "_matrix")
+
+    def __init__(
+        self, matrix: np.ndarray | None, space: HilbertSpace, factor: np.ndarray | None = None
+    ):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "_matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m, self.space.total_dim, "density matrix")
-        try:
-            checked = _check_density_stack(m[None])
-        except _StackValidationError as exc:
-            raise ValidationError(exc.reason) from None
-        object.__setattr__(self, "matrix", checked[0])
+        if self.factor is None:
+            m = np.asarray(self._matrix, dtype=complex)
+            _check_square(m, self.space.total_dim, "density matrix")
+            try:
+                checked = _check_density_stack(m[None])
+            except _StackValidationError as exc:
+                raise ValidationError(exc.reason) from None
+            object.__setattr__(self, "_matrix", checked[0])
+            return
+        if self._matrix is not None:
+            raise ValidationError("give a density matrix or a Gram factor, not both")
+        # F F^dagger is Hermitian and positive by construction; tr(F F^dagger) = ||F||_F^2
+        f = np.asarray(self.factor, dtype=complex)
+        if f.ndim != 2 or f.shape[0] != self.space.total_dim:
+            raise ValidationError(f"Gram factor has shape {f.shape}, expected ({self.space.total_dim}, k)")
+        if not np.isfinite(f).all():
+            raise ValidationError("Gram factor has non-finite entries")
+        tr = float(np.vdot(f, f).real)
+        if abs(tr - 1.0) > TOL_TRACE:
+            raise ValidationError(f"density matrix trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
+        object.__setattr__(self, "factor", _freeze(f))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DensityOperator is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        if self.factor is None:
+            return DensityOperator, (self._matrix, self.space)
+        return DensityOperator, (None, self.space, self.factor)
+
+    def __repr__(self) -> str:
+        form = "dense" if self.factor is None else f"Gram factor of rank {self.factor.shape[1]}"
+        return f"DensityOperator(dims={self.space.dims}, {form})"
+
+    @property
+    def matrix(self) -> np.ndarray:
+        m = self._matrix
+        if m is None:
+            f = self.factor
+            # k = 1 as an elementwise outer product, which rounds like np.outer (a
+            # matmul does not): a from_vector matrix keeps the dense constructor's bits
+            g = f * f[:, 0].conj() if f.shape[1] == 1 else f @ f.conj().T
+            # exactly Hermitian like a checked matrix: 0.5 (G + G^dagger) with
+            # the arithmetic of _check_density_stack
+            m = np.conj(g.T, order="C")
+            m += g
+            m *= 0.5
+            m.flags.writeable = False
+            object.__setattr__(self, "_matrix", m)
+        return m
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":
@@ -183,13 +254,18 @@ class DensityOperator:
         return cls(matrix=np.asarray(matrix, dtype=complex), space=space)
 
     @classmethod
+    def from_factor(cls, factor: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":
+        """The state F F^dagger of an (N, k) Gram factor F with ||F||_F = 1."""
+        space = dims if isinstance(dims, HilbertSpace) else HilbertSpace(tuple(dims))
+        return cls(matrix=None, space=space, factor=np.asarray(factor, dtype=complex))
+
+    @classmethod
     def from_vector(cls, psi: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":
         v = np.asarray(psi, dtype=complex).ravel()
         n = np.linalg.norm(v)
         if n == 0:
             raise ValidationError("state vector is zero")
-        v = v / n
-        return cls.from_matrix(np.outer(v, v.conj()), dims)
+        return cls.from_factor((v / n)[:, None], dims)
 
     @classmethod
     def maximally_mixed(cls, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":
@@ -208,7 +284,10 @@ class DensityOperator:
         return float(np.einsum("ij,ji->", op, self.matrix).real)
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        return DensityOperator(np.kron(self.matrix, other.matrix), self.space * other.space)
+        space = self.space * other.space
+        if self.factor is not None and other.factor is not None:
+            return DensityOperator(None, space, factor=np.kron(self.factor, other.factor))
+        return DensityOperator(np.kron(self.matrix, other.matrix), space)
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,13 @@ def brute_rho_event(
     return out / trapezoid(dens, t_grid)
 
 
-def boosted_packet_state(rng, psi0: np.ndarray, x: np.ndarray, d_sys: int) -> np.ndarray:
+def boosted_packet_vector(rng, psi0: np.ndarray, x: np.ndarray, d_sys: int) -> np.ndarray:
     """sum_k a_k (clock packet boosted by kappa_k) x |k>: a clock-system
-    entangled pure state, as a full-space density matrix."""
+    entangled pure state, as a unit vector on the full space."""
     amps = rng.normal(size=d_sys) + 1j * rng.normal(size=d_sys)
     kicks = rng.uniform(-2.0, 2.0, d_sys)
     psi = (psi0[:, None] * np.exp(1j * np.outer(x, kicks)) * amps[None, :]).ravel()
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+    return psi / np.linalg.norm(psi)
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:

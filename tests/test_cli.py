@@ -123,6 +123,31 @@ class TestValidate:
              "query 0 (conditional-prob) projector 'sideways' is not a named projector"),
             ("conditional_identity", lambda c: c["queries"][0].pop("projector"),
              "query 0 (conditional-prob) needs a projector"),
+            # values the runners would convert with float() or int()
+            ("conditional_identity", lambda c: c["queries"][0].update(T0="one"),
+             "query 0 (conditional-prob) T0 must be a number"),
+            ("detect_event", lambda c: c["queries"][0].update(n_particles="ten"),
+             "query 0 (detect-event) n_particles must be an integer"),
+            ("detect_event", lambda c: c["queries"][0].update(alpha=None),
+             "query 0 (detect-event) alpha must be a number"),
+            ("detect_event", lambda c: c["queries"][1].update(t_star="7.7"),
+             "query 1 (detect-event) t_star must be a number"),
+            ("zurek_n8", lambda c: c["environment"].update(n_spins=12.5),
+             "environment.n_spins must be an integer"),
+            ("zurek_n8", lambda c: c["queries"][0].update(t_max=[12.0]),
+             "query 0 (zurek) t_max must be a number"),
+            ("zurek_n8", lambda c: c["queries"][0].update(n_points=480.5),
+             "query 0 (zurek) n_points must be an integer"),
+            ("zurek_n8", lambda c: c["queries"][0].update(samples="100"),
+             "query 0 (zurek) samples must be an integer"),
+            ("physical_evolve", lambda c: c["clock"].update(grid_points=40.7),
+             "clock.grid_points must be an integer"),
+            ("qubit_decay", lambda c: c["queries"][0].update(record_stride=2.5),
+             "query 0 (master-evolve) record_stride must be an integer"),
+            ("qubit_decay", lambda c: c["queries"][1].update(omega="2"),
+             "query 1 (decay-scan) omega must be a number"),
+            ("revival_suppression", lambda c: c["queries"][0].update(planck_per_unit=True),
+             "query 0 (revival-suppression) planck_per_unit must be a number"),
         ],
     )
     def test_configs_that_cannot_run_are_violations(self, tmp_path, preset, mutate, message):
@@ -132,6 +157,12 @@ class TestValidate:
         with pytest.raises(cli.ConfigError, match=re.escape(message)):
             cli.run_config(cfg, tmp_path)
         assert not any(tmp_path.iterdir())
+
+    def test_integral_floats_are_integers(self):
+        cfg = load_preset("zurek_n8")
+        cfg["environment"]["n_spins"] = 8.0
+        cfg["queries"][0]["n_points"] = 481.0
+        assert cli.validate_config(cfg) == []
 
     @pytest.mark.parametrize("mode", ["incommensurate", "factorial", "harmonic"])
     def test_largest_environment_within_the_cap_is_clean(self, mode):

@@ -9,6 +9,7 @@ from relclock import fixtures
 from relclock.events import pinch
 
 import oracles
+from inputs import FORMS, entangled_state, qubit_state
 
 I2 = np.eye(2, dtype=complex)
 P_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -37,8 +38,9 @@ class TestRhoMod:
         out = rc.rho_mod(rho, free_clock, 1.5)
         np.testing.assert_allclose(rc.partial_trace(out, [1]).matrix, rho_sys.matrix, atol=1e-9)
 
-    def test_matches_brute_force_sandwich(self, free_clock, h_z, rng):
-        rho_sys = rc.DensityOperator.from_matrix(oracles.random_density(rng, 2), (2,))
+    @pytest.mark.parametrize("form", FORMS)
+    def test_matches_brute_force_sandwich(self, free_clock, h_z, rng, form):
+        rho_sys = qubit_state(rng, form)
         rho = free_clock.rho0.tensor(rho_sys)
         t_grid = np.linspace(0.0, free_clock.tau, 41)
         got = rc.rho_mod(rho, free_clock, 1.5, h_system=h_z, t_grid=t_grid, picture="heisenberg")
@@ -81,11 +83,10 @@ class TestRhoEvent:
         assert abs(sys_part[0, 1]) <= 1e-10
         assert sys_part[0, 0].real == pytest.approx(0.5, abs=1e-9)
 
-    def test_entangled_state_matches_full_space_sandwich(self, small_clock, rng):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_entangled_state_matches_full_space_sandwich(self, small_clock, rng, form):
         clock = small_clock
-        rho = rc.DensityOperator.from_matrix(
-            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
-        )
+        rho = entangled_state(rng, clock, 4, form)
         h_sys = oracles.random_hermitian(rng, 4)
         u = oracles.random_unitary(rng, 4)
         p = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ u.conj().T
@@ -121,6 +122,81 @@ class TestRhoEvent:
         once = pinch(rho, fam)
         twice = pinch(once, fam)
         assert np.max(np.abs(twice - once)) <= 1e-10
+
+
+def transposed_view_rotation(m, clock, t0, h):
+    """(e^{-iH_c t0} (x) u) m (e^{-iH_c t0} (x) u)^dagger as U (U m)^dagger,
+    conjugate-transposed at the end, with that last transpose left as a view."""
+    n, dim = clock.n, m.shape[0]
+    d = dim // n
+    u = rc.states.evolution_operator(h, t0)
+    phase = np.exp(-1j * clock.dispersion * t0)
+
+    def rows(x):
+        x = np.fft.ifft(phase[:, None, None] * np.fft.fft(x.reshape(n, d, dim), axis=0), axis=0)
+        return (u @ x).reshape(dim, dim)
+
+    out = rows(rows(m).conj().T).conj().T
+    assert not out.flags.c_contiguous
+    return out
+
+
+class TestSchrodingerFrame:
+    @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
+    def test_c_ordered_rotation_is_bitwise_the_transposed_one(
+        self, free_clock, h_z, rng, monkeypatch, conditioned
+    ):
+        rho = free_clock.rho0.tensor(qubit_state(rng))
+        extra = (z_family(),) if conditioned == "rho_event" else ()
+        call = getattr(rc, conditioned)
+        heisenberg = call(rho, *extra, free_clock, 1.5, h_system=h_z, picture="heisenberg")
+        want = rc.DensityOperator.from_matrix(
+            transposed_view_rotation(heisenberg.matrix, free_clock, 1.5, h_z), rho.space
+        )
+        checked = []
+        check = rc.states._check_density_stack
+        monkeypatch.setattr(
+            rc.states, "_check_density_stack", lambda m: checked.append(m.flags.c_contiguous) or check(m)
+        )
+        got = call(rho, *extra, free_clock, 1.5, h_system=h_z)
+        assert np.array_equal(got.matrix, want.matrix)
+        # the Heisenberg-picture state, then its rotation: both handed over C-ordered
+        assert checked == [True, True]
+
+
+class TestFactoredInput:
+    """A Gram-factored state and the dense state of the same matrix condition alike."""
+
+    @pytest.fixture(params=["product", "entangled"])
+    def pair(self, request, free_clock, rng):
+        if request.param == "product":
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            factored = free_clock.rho0.tensor(rc.DensityOperator.from_vector(psi, (2,)))
+        else:
+            factored = entangled_state(rng, free_clock, 2, "factored")
+        assert factored.factor is not None
+        return factored, rc.DensityOperator.from_matrix(factored.matrix, factored.space)
+
+    def test_every_conditioned_quantity_agrees(self, pair, free_clock, h_z):
+        factored, dense = pair
+        family = rc.projector_family(rc.Observable.from_matrix(rc.SIGMA_X))
+        events = [(family.projectors[0], 1.5), (None, 1.7)]
+        clock = free_clock
+        calls = {
+            "conditional_probabilities": lambda r: rc.conditional_probabilities(r, family, clock, 1.5, h_z),
+            "reduce_state": lambda r: rc.reduce_state(r, clock, events, h_z).matrix,
+            "rho_mod": lambda r: rc.rho_mod(r, clock, 1.5, h_z).matrix,
+            "rho_event": lambda r: rc.rho_event(r, family, clock, 1.5, h_z).matrix,
+            "distinguishability": lambda r: rc.detect_event(
+                r, family, clock, 1.5, 10, 0.3, h_z
+            ).distinguishability,
+            "history_probability": lambda r: rc.history_probability(
+                r, clock, [events[0], (P_UP, 2.0)], h_z
+            ),
+        }
+        for name, call in calls.items():
+            err = np.max(np.abs(np.asarray(call(factored)) - np.asarray(call(dense))))
+            assert err <= 1e-12, name
 
 
 class TestDistinguishability:

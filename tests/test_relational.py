@@ -7,14 +7,11 @@ import relclock as rc
 from relclock.relational import EmpiricalSpreadRate
 
 import oracles
+from inputs import FORMS, entangled_state, qubit_state
 
 I2 = np.eye(2, dtype=complex)
 P_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 P_PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-
-
-def qubit_state(rng):
-    return rc.DensityOperator.from_matrix(oracles.random_density(rng, 2), (2,))
 
 
 class TestConditionalProbability:
@@ -33,8 +30,9 @@ class TestConditionalProbability:
             born = rc.unitary_evolve(rho_sys, h_z, t0).expectation(P_PLUS)
             assert p == pytest.approx(born, abs=1e-10)
 
-    def test_matches_brute_force_grid_oracle(self, free_clock, h_z, rng):
-        rho_sys = qubit_state(rng)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_matches_brute_force_grid_oracle(self, free_clock, h_z, rng, form):
+        rho_sys = qubit_state(rng, form)
         rho = free_clock.rho0.tensor(rho_sys)
         t_grid = np.linspace(0.0, free_clock.tau, 41)
         got = rc.conditional_probability(rho, P_PLUS, free_clock, 1.5, h_system=h_z, t_grid=t_grid)
@@ -69,11 +67,10 @@ class TestConditionalProbability:
         with pytest.raises(rc.UnreachableReadingError):
             rc.conditional_probability(rho, P_PLUS, free_clock, 60.0, h_system=h_z)
 
-    def test_entangled_d4_family_matches_brute_force(self, small_clock, rng):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_entangled_d4_family_matches_brute_force(self, small_clock, rng, form):
         clock = small_clock
-        rho = rc.DensityOperator.from_matrix(
-            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
-        )
+        rho = entangled_state(rng, clock, 4, form)
         h_sys = oracles.random_hermitian(rng, 4)
         u = oracles.random_unitary(rng, 4)
         members = [np.outer(u[:, k], u[:, k].conj()) for k in range(4)]
@@ -240,10 +237,11 @@ class TestReduceState:
         want = P_UP @ np.outer(psi, psi.conj()) @ P_UP
         np.testing.assert_allclose(sys_part.matrix, want / want.trace(), atol=1e-10)
 
-    def test_two_windows_match_brute_force(self, free_clock, h_z, rng):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_two_windows_match_brute_force(self, free_clock, h_z, rng, form):
         # conjunction of two overlapping reading windows plus a system value;
         # disjoint windows would make the sandwich identically zero
-        rho = free_clock.rho0.tensor(qubit_state(rng))
+        rho = free_clock.rho0.tensor(qubit_state(rng, form))
         t_grid = np.linspace(0.0, free_clock.tau, 33)
         events = [(P_UP, 1.5), (None, 1.8)]
         got = rc.reduce_state(rho, free_clock, events, h_system=h_z, t_grid=t_grid)
@@ -257,13 +255,12 @@ class TestReduceState:
         )
         np.testing.assert_allclose(got.matrix, want, atol=1e-9)
 
-    def test_window_delta_window_and_two_projectors_match_brute_force(self, small_clock, rng):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_window_delta_window_and_two_projectors_match_brute_force(self, small_clock, rng, form):
         # the two windows intersect in two grid nodes; the projectors commute
         # and multiply to a rank-one projector
         clock = small_clock
-        rho = rc.DensityOperator.from_matrix(
-            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
-        )
+        rho = entangled_state(rng, clock, 4, form)
         h_sys = oracles.random_hermitian(rng, 4)
         u = oracles.random_unitary(rng, 4)
         p1 = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ u.conj().T
@@ -280,11 +277,10 @@ class TestReduceState:
         )
         np.testing.assert_allclose(got.matrix, want, atol=1e-9)
 
-    def test_projector_only_reduction_matches_brute_force(self, small_clock, rng):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_projector_only_reduction_matches_brute_force(self, small_clock, rng, form):
         clock = small_clock
-        rho = rc.DensityOperator.from_matrix(
-            oracles.boosted_packet_state(rng, clock.psi0, clock.x, 4), (clock.n, 4)
-        )
+        rho = entangled_state(rng, clock, 4, form)
         h_sys = oracles.random_hermitian(rng, 4)
         u = oracles.random_unitary(rng, 4)
         p1 = u @ np.diag([1.0, 1.0, 1.0, 0.0]) @ u.conj().T

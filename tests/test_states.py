@@ -1,10 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relclock as rc
-from relclock.states import TOL_PSD, _density_states, evolution_operator, herm_defect
+from relclock.states import (
+    TOL_PSD,
+    TOL_TRACE,
+    _check_density_stack,
+    _density_states,
+    evolution_operator,
+    herm_defect,
+)
 
 import oracles
 
@@ -295,6 +304,88 @@ class TestDensityStack:
     def test_shape_must_match_the_space(self, rng):
         with pytest.raises(rc.ValidationError, match="shape"):
             _density_states(self.stack(rng), rc.HilbertSpace((2,)))
+
+
+class TestGramFactor:
+    def unit_factor(self, rng, n, k):
+        g = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        return g / np.linalg.norm(g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_rejected(self, rng, bad):
+        f = self.unit_factor(rng, 4, 2)
+        f[1, 0] = bad
+        with pytest.raises(rc.ValidationError, match="non-finite"):
+            rc.DensityOperator.from_factor(f, (4,))
+
+    @pytest.mark.parametrize("excess, accepted", [(0.5 * TOL_TRACE, True), (2.0 * TOL_TRACE, False)])
+    def test_trace_is_the_squared_frobenius_norm(self, rng, excess, accepted):
+        f = self.unit_factor(rng, 4, 2) * np.sqrt(1.0 + excess)
+        if accepted:
+            rc.DensityOperator.from_factor(f, (4,))
+        else:
+            with pytest.raises(rc.ValidationError, match="trace"):
+                rc.DensityOperator.from_factor(f, (4,))
+
+    def test_factor_shape_must_match_the_space(self, rng):
+        with pytest.raises(rc.ValidationError, match="shape"):
+            rc.DensityOperator.from_factor(self.unit_factor(rng, 4, 2), (3,))
+
+    def test_from_vector_matrix_is_the_dense_constructors_bitwise(self, rng):
+        psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+        rho = rc.DensityOperator.from_vector(psi, (32, 2))
+        assert rho.factor.shape == (64, 1)
+        v = psi / np.linalg.norm(psi)
+        outer = np.outer(v, v.conj())
+        # np.outer rounds its two triangles differently: both constructors keep 0.5 (o + o^dagger)
+        assert np.array_equal(rho.matrix, 0.5 * (outer + outer.conj().T))
+        assert np.array_equal(rho.matrix, rc.DensityOperator.from_matrix(outer, (32, 2)).matrix)
+        assert not rho.matrix.flags.writeable and not rho.factor.flags.writeable
+
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 2), (3, 2)])
+    def test_tensor_of_factored_states_is_the_kronecker_product(self, rng, ranks):
+        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 5, ranks[0]), (5,))
+        b = rc.DensityOperator.from_factor(self.unit_factor(rng, 3, ranks[1]), (3,))
+        ab = a.tensor(b)
+        assert ab.factor.shape == (15, ranks[0] * ranks[1]) and ab.space.dims == (5, 3)
+        assert np.max(np.abs(ab.matrix - np.kron(a.matrix, b.matrix))) <= 1e-15
+
+    def test_dense_operand_gives_a_dense_product(self, rng):
+        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 5, 1), (5,))
+        b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 3), (3,))
+        for ab in (a.tensor(b), b.tensor(a)):
+            assert ab.factor is None
+
+    def test_immutable(self, rng):
+        rho = rc.DensityOperator.from_factor(self.unit_factor(rng, 4, 2), (4,))
+        with pytest.raises(AttributeError):
+            rho.factor = None
+        with pytest.raises(ValueError):
+            rho.factor[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("k, d", [(1, 1024), (20000, 2)])
+def test_hermitian_defect_in_the_last_block_is_found(k, d):
+    # the defect pass walks blocks of rows (d = 1024) or of whole members (d = 2)
+    stack = np.broadcast_to(np.eye(d, dtype=complex) / d, (k, d, d)).copy()
+    stack[-1, -1, -2] = 1e-6  # rows d - 1 and d - 2 both lie in the last block
+    with pytest.raises(rc.ValidationError, match=f"state {k - 1}: .*not Hermitian"):
+        _density_states(stack, rc.HilbertSpace((d,)))
+
+
+def test_checker_peak_memory_at_dimension_1024(rng):
+    """The checker holds m^dagger and numpy's Cholesky factor, plus row blocks
+    of the Hermitian defect: at most 2.1 matrices beyond its input."""
+    g = rng.normal(size=(1024, 8)) + 1j * rng.normal(size=(1024, 8))
+    m = g @ g.conj().T
+    m /= m.trace().real
+    tracemalloc.start()
+    try:
+        _check_density_stack(m[None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * m.nbytes
 
 
 class TestSerialization:
