@@ -84,6 +84,16 @@ def _check_square(m: np.ndarray, dim: int | None = None, what: str = "operator")
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _hermitized(g: np.ndarray) -> np.ndarray:
+    """0.5 (G + G^dagger), read-only, with the arithmetic of ``_check_density_stack``:
+    exactly Hermitian, and bitwise what the checker returns for G."""
+    m = np.conj(g.T, order="C")
+    m += g
+    m *= 0.5
+    m.flags.writeable = False
+    return m
+
+
 class _StackValidationError(ValidationError):
     """A member of a stack failed validation; ``index`` is the first such member."""
 
@@ -172,6 +182,7 @@ def _density_states(stack: np.ndarray, space: HilbertSpace) -> list["DensityOper
         object.__setattr__(rho, "_matrix", matrix)
         object.__setattr__(rho, "space", space)
         object.__setattr__(rho, "factor", None)
+        object.__setattr__(rho, "_operands", None)
         states.append(rho)
     return states
 
@@ -179,14 +190,17 @@ def _density_states(stack: np.ndarray, space: HilbertSpace) -> list["DensityOper
 class DensityOperator:
     """Unit-trace positive Hermitian matrix on a composite space.
 
-    A state is held either as its matrix or as a Gram factor F of shape
-    (N, k) with rho = F F^dagger: ``from_vector`` keeps F = v (k = 1), and
-    ``tensor`` of two factored states keeps kron(F1, F2).  The matrix of a
-    factored state is built on first access and cached; the window kernel of
-    ``relational`` works on the factor.  Instances are immutable.
+    A state is held as its matrix, as a Gram factor F of shape (N, k) with
+    rho = F F^dagger, or as a tensor product of two states.  ``from_vector``
+    keeps F = v (k = 1), and ``tensor`` of two factored states keeps
+    kron(F1, F2).  The matrix of a factored state is built on first access and
+    cached; the window kernel of ``relational`` works on the factor.  A
+    ``tensor`` with a dense operand keeps both operands and builds its matrix
+    on every access without keeping it, so holding such a state costs its
+    operands' memory only.  Instances are immutable.
     """
 
-    __slots__ = ("space", "factor", "_matrix")
+    __slots__ = ("space", "factor", "_matrix", "_operands")
 
     def __init__(
         self, matrix: np.ndarray | None, space: HilbertSpace, factor: np.ndarray | None = None
@@ -194,9 +208,18 @@ class DensityOperator:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_operands", None)
         self.__post_init__()
 
     def __post_init__(self):
+        if self._operands is not None:
+            # kron(A, B) of two checked states is Hermitian and positive by
+            # construction; its trace is tr A tr B
+            left, right = self._operands
+            tr = left._trace() * right._trace()
+            if abs(tr - 1.0) > TOL_TRACE:
+                raise ValidationError(f"density matrix trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
+            return
         if self.factor is None:
             m = np.asarray(self._matrix, dtype=complex)
             _check_square(m, self.space.total_dim, "density matrix")
@@ -223,30 +246,44 @@ class DensityOperator:
         raise AttributeError(f"DensityOperator is immutable: cannot set {name!r}")
 
     def __reduce__(self):
+        if self._operands is not None:
+            return DensityOperator.tensor, self._operands
         if self.factor is None:
             return DensityOperator, (self._matrix, self.space)
         return DensityOperator, (None, self.space, self.factor)
 
     def __repr__(self) -> str:
-        form = "dense" if self.factor is None else f"Gram factor of rank {self.factor.shape[1]}"
+        if self._operands is not None:
+            form = "tensor product"
+        elif self.factor is None:
+            form = "dense"
+        else:
+            form = f"Gram factor of rank {self.factor.shape[1]}"
         return f"DensityOperator(dims={self.space.dims}, {form})"
 
     @property
     def matrix(self) -> np.ndarray:
         m = self._matrix
-        if m is None:
-            f = self.factor
-            # k = 1 as an elementwise outer product, which rounds like np.outer (a
-            # matmul does not): a from_vector matrix keeps the dense constructor's bits
-            g = f * f[:, 0].conj() if f.shape[1] == 1 else f @ f.conj().T
-            # exactly Hermitian like a checked matrix: 0.5 (G + G^dagger) with
-            # the arithmetic of _check_density_stack
-            m = np.conj(g.T, order="C")
-            m += g
-            m *= 0.5
-            m.flags.writeable = False
-            object.__setattr__(self, "_matrix", m)
+        if m is not None:
+            return m
+        if self._operands is not None:
+            left, right = self._operands
+            # bitwise the matrix the checker returns for the same np.kron
+            return _hermitized(np.kron(left.matrix, right.matrix))
+        f = self.factor
+        # k = 1 as an elementwise outer product, which rounds like np.outer (a
+        # matmul does not): a from_vector matrix keeps the dense constructor's bits
+        m = _hermitized(f * f[:, 0].conj() if f.shape[1] == 1 else f @ f.conj().T)
+        object.__setattr__(self, "_matrix", m)
         return m
+
+    def _trace(self) -> float:
+        if self._operands is not None:
+            left, right = self._operands
+            return left._trace() * right._trace()
+        if self.factor is not None:
+            return float(np.vdot(self.factor, self.factor).real)
+        return float(np.trace(self._matrix).real)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":
@@ -287,7 +324,11 @@ class DensityOperator:
         space = self.space * other.space
         if self.factor is not None and other.factor is not None:
             return DensityOperator(None, space, factor=np.kron(self.factor, other.factor))
-        return DensityOperator(np.kron(self.matrix, other.matrix), space)
+        rho = object.__new__(DensityOperator)
+        for name, value in (("space", space), ("factor", None), ("_matrix", None), ("_operands", (self, other))):
+            object.__setattr__(rho, name, value)
+        rho.__post_init__()
+        return rho
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,36 @@ class TestGramFactor:
         b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 3), (3,))
         for ab in (a.tensor(b), b.tensor(a)):
             assert ab.factor is None
+
+    def test_dense_operand_product_is_the_checked_kron_bitwise(self, rng):
+        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 5, 2), (5,))
+        b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 3), (3,))
+        for x, y in ((a, b), (b, a), (b, b), (a.tensor(b), a)):
+            xy = x.tensor(y)
+            eager = rc.DensityOperator(np.kron(x.matrix, y.matrix), xy.space)
+            assert np.array_equal(xy.matrix, eager.matrix) and not xy.matrix.flags.writeable
+            copied = pickle.loads(pickle.dumps(xy))
+            assert repr(copied) == repr(xy) and np.array_equal(copied.matrix, eager.matrix)
+
+    def test_dense_operand_product_holds_no_matrix(self, rng):
+        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 512, 1), (512,))
+        b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 2), (2,))
+        a.matrix  # the operand's own cached matrix is not the product's
+        tracemalloc.start()
+        try:
+            ab = a.tensor(b)
+            ab.matrix
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.01 * (1024 * 1024 * 16)
+
+    def test_dense_operand_product_checks_its_trace(self, rng):
+        # each operand is within TOL_TRACE of unit trace, their product is not
+        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 4, 1) * np.sqrt(1.0 + 0.6 * TOL_TRACE), (4,))
+        b = rc.DensityOperator.from_matrix(np.diag([0.5, 0.5 + 0.6 * TOL_TRACE]), (2,))
+        with pytest.raises(rc.ValidationError, match="trace"):
+            a.tensor(b)
 
     def test_immutable(self, rng):
         rho = rc.DensityOperator.from_factor(self.unit_factor(rng, 4, 2), (4,))
