@@ -1,8 +1,8 @@
 """Config-driven experiment runner.
 
-``relclock run config.json [--out DIR] [--parallel]`` executes every query in
-the config and writes one artifact file per query (CSV for tabular results,
-JSON for records).  ``relclock validate config.json`` statically checks the
+``relclock run config.json [--out DIR]`` executes every query of the config in
+order and writes one artifact file per query (CSV for tabular results, JSON
+for records).  ``relclock validate config.json`` statically checks the
 config and lists every violated invariant without executing anything.
 
 A config is a single JSON document::
@@ -27,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -116,6 +115,12 @@ def _parse_matrix(spec) -> np.ndarray:
     return mat
 
 
+def _initial_state(init, dims) -> DensityOperator:
+    """A named state ("plus", ...) or an embedded matrix, checked on ``dims``."""
+    mat = _NAMED_STATES[init] if isinstance(init, str) else _parse_matrix(init)
+    return DensityOperator.from_matrix(mat, dims)
+
+
 def build_system(cfg: dict) -> dict:
     """Returns {'h': Observable | None, 'rho': DensityOperator, 'label': str,
     'essential': family | None, 'candidates': list | None}."""
@@ -124,14 +129,10 @@ def build_system(cfg: dict) -> dict:
     out: dict = {"h": None, "essential": None, "candidates": None, "label": name or "system"}
     if name == "qubit-sz":
         out["h"] = Observable.from_matrix(SIGMA_Z)
-        init = spec.get("initial_state", "plus")
-        mat = _NAMED_STATES[init] if isinstance(init, str) else _parse_matrix(init)
-        out["rho"] = DensityOperator.from_matrix(mat, (2,))
+        out["rho"] = _initial_state(spec.get("initial_state", "plus"), (2,))
     elif name == "qubit-sx":
         out["h"] = Observable.from_matrix(SIGMA_X)
-        init = spec.get("initial_state", "up")
-        mat = _NAMED_STATES[init] if isinstance(init, str) else _parse_matrix(init)
-        out["rho"] = DensityOperator.from_matrix(mat, (2,))
+        out["rho"] = _initial_state(spec.get("initial_state", "up"), (2,))
     elif name == "three-spin":
         out["rho"] = fixtures.three_spin_state()
         out["essential"] = fixtures.three_spin_essential_family()
@@ -142,8 +143,7 @@ def build_system(cfg: dict) -> dict:
         init = spec.get("initial_state")
         if init is None:
             raise ConfigError("system.initial_state required with an explicit hamiltonian")
-        mat = _NAMED_STATES[init] if isinstance(init, str) else _parse_matrix(init)
-        out["rho"] = DensityOperator.from_matrix(mat, dims)
+        out["rho"] = _initial_state(init, dims)
     else:
         raise ConfigError(f"unknown system preset {name!r}")
     return out
@@ -274,7 +274,7 @@ def _run_detect_event(ctx: dict, q: dict, path: Path) -> None:
         rho_sys = fixtures.dephased_qubit_state(env, float(q.get("t_star", 1.0)))
         label = f"pointer-z after {env.n_env}-spin dephasing"
     elif state_kind == "coherent":
-        rho_sys = DensityOperator.from_matrix(_NAMED_STATES["plus"], (2,))
+        rho_sys = _initial_state("plus", (2,))
         label = "pointer-z on an isolated coherent qubit"
     else:
         raise ConfigError(f"unknown system_state {state_kind!r}")
@@ -523,7 +523,7 @@ def validate_config(cfg: dict) -> list[str]:
 
 # -- entry points ----------------------------------------------------------------
 
-def run_config(cfg: dict, out_dir: Path, parallel: bool = False) -> list[Path]:
+def run_config(cfg: dict, out_dir: Path) -> list[Path]:
     violations = validate_config(cfg)
     if violations:
         raise ConfigError("; ".join(violations))
@@ -541,26 +541,14 @@ def run_config(cfg: dict, out_dir: Path, parallel: bool = False) -> list[Path]:
             raise ConfigError(f"cannot build {section}: {type(exc).__name__}: {exc}") from exc
 
     paths = []
-    jobs = []
     for i, q in enumerate(cfg["queries"]):
         kind = q["kind"]
         path = out_dir / f"q{i:02d}_{kind}.{_ARTIFACT_SUFFIX[kind]}"
-        paths.append(path)
-        jobs.append((i, kind, q, path))
-
-    def _execute(job):
-        i, kind, q, path = job
         try:
             _RUNNERS[kind](ctx, q, path)
         except Exception as exc:
             raise QueryError(i, kind, exc) from exc
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            list(pool.map(_execute, jobs))
-    else:
-        for job in jobs:
-            _execute(job)
+        paths.append(path)
     return paths
 
 
@@ -590,7 +578,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute every query in a config")
     p_run.add_argument("config", help="path to a config JSON (or a bundled preset name)")
     p_run.add_argument("--out", default=None, help="artifact directory")
-    p_run.add_argument("--parallel", action="store_true", help="run independent queries concurrently")
 
     p_val = sub.add_parser("validate", help="statically validate a config")
     p_val.add_argument("config", help="path to a config JSON (or a bundled preset name)")
@@ -623,7 +610,7 @@ def main(argv=None) -> int:
     # validated above: cfg is an object, and its output (if any) an object with a string dir
     out_dir = args.out or os.environ.get("RELCLOCK_OUT") or (cfg.get("output") or {}).get("dir", "artifacts")
     try:
-        paths = run_config(cfg, Path(out_dir), parallel=args.parallel)
+        paths = run_config(cfg, Path(out_dir))
     except QueryError as exc:
         print(exc.as_json())
         return 1

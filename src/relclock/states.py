@@ -84,16 +84,6 @@ def _check_square(m: np.ndarray, dim: int | None = None, what: str = "operator")
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _hermitized(g: np.ndarray) -> np.ndarray:
-    """0.5 (G + G^dagger), read-only, with the arithmetic of ``_check_density_stack``:
-    exactly Hermitian, and bitwise what the checker returns for G."""
-    m = np.conj(g.T, order="C")
-    m += g
-    m *= 0.5
-    m.flags.writeable = False
-    return m
-
-
 class _StackValidationError(ValidationError):
     """A member of a stack failed validation; ``index`` is the first such member."""
 
@@ -182,7 +172,6 @@ def _density_states(stack: np.ndarray, space: HilbertSpace) -> list["DensityOper
         object.__setattr__(rho, "_matrix", matrix)
         object.__setattr__(rho, "space", space)
         object.__setattr__(rho, "factor", None)
-        object.__setattr__(rho, "_operands", None)
         states.append(rho)
     return states
 
@@ -190,17 +179,17 @@ def _density_states(stack: np.ndarray, space: HilbertSpace) -> list["DensityOper
 class DensityOperator:
     """Unit-trace positive Hermitian matrix on a composite space.
 
-    A state is held as its matrix, as a Gram factor F of shape (N, k) with
-    rho = F F^dagger, or as a tensor product of two states.  ``from_vector``
-    keeps F = v (k = 1), and ``tensor`` of two factored states keeps
-    kron(F1, F2).  The matrix of a factored state is built on first access and
-    cached; the window kernel of ``relational`` works on the factor.  A
-    ``tensor`` with a dense operand keeps both operands and builds its matrix
-    on every access without keeping it, so holding such a state costs its
-    operands' memory only.  Instances are immutable.
+    A state is held either as its checked matrix or as a Gram factor F of
+    shape (N, k) with rho = F F^dagger.  ``from_vector`` keeps F = v (k = 1),
+    and ``tensor`` keeps kron(G1, G2) of its operands' factors, where a dense
+    operand's factor comes from one eigh of its matrix.  The matrix of a
+    factored state is built on every access and not kept, so holding one
+    costs its factor only; the window kernel of ``relational``, ``purity``,
+    ``expectation`` and ``partial_trace`` work on the factor.  Instances are
+    immutable.
     """
 
-    __slots__ = ("space", "factor", "_matrix", "_operands")
+    __slots__ = ("space", "factor", "_matrix")
 
     def __init__(
         self, matrix: np.ndarray | None, space: HilbertSpace, factor: np.ndarray | None = None
@@ -208,18 +197,9 @@ class DensityOperator:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_operands", None)
         self.__post_init__()
 
     def __post_init__(self):
-        if self._operands is not None:
-            # kron(A, B) of two checked states is Hermitian and positive by
-            # construction; its trace is tr A tr B
-            left, right = self._operands
-            tr = left._trace() * right._trace()
-            if abs(tr - 1.0) > TOL_TRACE:
-                raise ValidationError(f"density matrix trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
-            return
         if self.factor is None:
             m = np.asarray(self._matrix, dtype=complex)
             _check_square(m, self.space.total_dim, "density matrix")
@@ -246,44 +226,36 @@ class DensityOperator:
         raise AttributeError(f"DensityOperator is immutable: cannot set {name!r}")
 
     def __reduce__(self):
-        if self._operands is not None:
-            return DensityOperator.tensor, self._operands
-        if self.factor is None:
-            return DensityOperator, (self._matrix, self.space)
-        return DensityOperator, (None, self.space, self.factor)
+        return DensityOperator, (self._matrix, self.space, self.factor)
 
     def __repr__(self) -> str:
-        if self._operands is not None:
-            form = "tensor product"
-        elif self.factor is None:
-            form = "dense"
-        else:
-            form = f"Gram factor of rank {self.factor.shape[1]}"
+        form = "dense" if self.factor is None else f"Gram factor of rank {self.factor.shape[1]}"
         return f"DensityOperator(dims={self.space.dims}, {form})"
 
     @property
     def matrix(self) -> np.ndarray:
-        m = self._matrix
-        if m is not None:
-            return m
-        if self._operands is not None:
-            left, right = self._operands
-            # bitwise the matrix the checker returns for the same np.kron
-            return _hermitized(np.kron(left.matrix, right.matrix))
         f = self.factor
+        if f is None:
+            return self._matrix
         # k = 1 as an elementwise outer product, which rounds like np.outer (a
         # matmul does not): a from_vector matrix keeps the dense constructor's bits
-        m = _hermitized(f * f[:, 0].conj() if f.shape[1] == 1 else f @ f.conj().T)
-        object.__setattr__(self, "_matrix", m)
+        g = f * f[:, 0].conj() if f.shape[1] == 1 else f @ f.conj().T
+        # exactly Hermitian like a checked matrix: 0.5 (G + G^dagger) with the
+        # arithmetic of _check_density_stack
+        m = np.conj(g.T, order="C")
+        m += g
+        m *= 0.5
+        m.flags.writeable = False
         return m
 
-    def _trace(self) -> float:
-        if self._operands is not None:
-            left, right = self._operands
-            return left._trace() * right._trace()
+    def _gram_factor(self) -> np.ndarray:
+        """F itself, or V sqrt(max(lambda, 0)) from one eigh of the checked
+        matrix: the checker let through lambda >= -TOL_PSD only, so the
+        clipping moves the state by at most TOL_PSD in operator norm."""
         if self.factor is not None:
-            return float(np.vdot(self.factor, self.factor).real)
-        return float(np.trace(self._matrix).real)
+            return self.factor
+        w, v = np.linalg.eigh(self._matrix)
+        return v * np.sqrt(np.maximum(w, 0.0))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":
@@ -315,20 +287,25 @@ class DensityOperator:
         return self.space.total_dim
 
     def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
+        f = self.factor
+        if f is None:
+            return float(np.einsum("ij,ji->", self._matrix, self._matrix).real)
+        # tr (F F^dagger)^2 = ||F^dagger F||_F^2, a k x k Gram matrix
+        g = f.conj().T @ f
+        return float(np.vdot(g, g).real)
 
     def expectation(self, op: np.ndarray) -> float:
-        return float(np.einsum("ij,ji->", op, self.matrix).real)
+        f = self.factor
+        if f is None:
+            return float(np.einsum("ij,ji->", op, self._matrix).real)
+        # tr(op F F^dagger) = <F, op F>
+        return float(np.vdot(f, np.asarray(op, dtype=complex) @ f).real)
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        space = self.space * other.space
-        if self.factor is not None and other.factor is not None:
-            return DensityOperator(None, space, factor=np.kron(self.factor, other.factor))
-        rho = object.__new__(DensityOperator)
-        for name, value in (("space", space), ("factor", None), ("_matrix", None), ("_operands", (self, other))):
-            object.__setattr__(rho, name, value)
-        rho.__post_init__()
-        return rho
+        # kron(G1, G2) kron(G1, G2)^dagger = kron(G1 G1^dagger, G2 G2^dagger), and
+        # ||kron(G1, G2)||_F^2 = ||G1||_F^2 ||G2||_F^2 is the product's trace check
+        factor = np.kron(self._gram_factor(), other._gram_factor())
+        return DensityOperator(None, self.space * other.space, factor=factor)
 
 
 @dataclass(frozen=True)
@@ -444,15 +421,20 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def _kept_axes(keep: Iterable[int], n: int) -> list[int]:
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep must name at least one subsystem")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"subsystem index out of range for {n} factors: {keep}")
+    return keep
+
+
 def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out every factor not in ``keep``; kept factors stay in their order."""
     dims = tuple(int(d) for d in dims)
-    keep = sorted(set(int(k) for k in keep))
     n = len(dims)
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"subsystem index out of range for {n} factors: {keep}")
+    keep = _kept_axes(keep, n)
     m = np.asarray(mat, dtype=complex).reshape(dims + dims)
     # einsum with traced row/col axes identified
     row = list(range(n))
@@ -467,9 +449,16 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[in
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    keep = sorted(set(int(k) for k in keep))
-    reduced = partial_trace_matrix(rho.matrix, rho.space.dims, keep)
-    return DensityOperator.from_matrix(reduced, tuple(rho.space.dims[k] for k in keep))
+    """The reduced state on the factors in ``keep``.  A factored state stays
+    factored: its traced axes move into the column index of F."""
+    dims = rho.space.dims
+    keep = _kept_axes(keep, len(dims))
+    kept_dims = tuple(dims[k] for k in keep)
+    if rho.factor is None:
+        return DensityOperator.from_matrix(partial_trace_matrix(rho.matrix, dims, keep), kept_dims)
+    traced = [ax for ax in range(len(dims)) if ax not in keep]
+    f = rho.factor.reshape(dims + (-1,)).transpose(keep + traced + [len(dims)])
+    return DensityOperator.from_factor(f.reshape(int(np.prod(kept_dims)), -1), kept_dims)
 
 
 def projector_family(obs: Observable, grouping_tol: float | None = None) -> ProjectorFamily:

@@ -226,25 +226,16 @@ class TestRun:
         assert payload["T_revival"] == pytest.approx(720.0)
         assert payload["N_min"] > payload["N"]
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("preset", ["qubit_decay", "detect_event", "conditional_identity"])
+    def test_byte_identical_reruns(self, tmp_path, preset):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            res = run_cli("run", str(cli.preset_path("qubit_decay")), "--out", str(out))
+            res = run_cli("run", str(cli.preset_path(preset)), "--out", str(out))
             assert res.returncode == 0, res.stdout + res.stderr
-        for p1 in sorted(out1.iterdir()):
-            p2 = out2 / p1.name
-            assert p1.read_bytes() == p2.read_bytes()
-
-    def test_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        res = run_cli("run", str(cli.preset_path("detect_event")), "--out", str(serial))
-        assert res.returncode == 0, res.stdout + res.stderr
-        res = run_cli("run", str(cli.preset_path("detect_event")), "--out", str(parallel), "--parallel")
-        assert res.returncode == 0, res.stdout + res.stderr
-        names = sorted(p.name for p in serial.iterdir())
-        assert names and names == sorted(p.name for p in parallel.iterdir())
-        for p1 in sorted(serial.iterdir()):
-            assert p1.read_bytes() == (parallel / p1.name).read_bytes()
+        names = sorted(p.name for p in out1.iterdir())
+        assert names and names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_runtime_failure_emits_error_json(self, tmp_path):
         cfg = load_preset("conditional_identity")

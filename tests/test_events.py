@@ -9,7 +9,7 @@ from relclock import fixtures
 from relclock.events import pinch
 
 import oracles
-from inputs import FORMS, entangled_state, qubit_state
+from inputs import FORMS, entangled_state, product_state, qubit_state
 
 I2 = np.eye(2, dtype=complex)
 P_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -40,8 +40,7 @@ class TestRhoMod:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_matches_brute_force_sandwich(self, free_clock, h_z, rng, form):
-        rho_sys = qubit_state(rng, form)
-        rho = free_clock.rho0.tensor(rho_sys)
+        rho = product_state(free_clock, qubit_state(rng, form), form)
         t_grid = np.linspace(0.0, free_clock.tau, 41)
         got = rc.rho_mod(rho, free_clock, 1.5, h_system=h_z, t_grid=t_grid, picture="heisenberg")
         want = oracles.brute_reduce_state(

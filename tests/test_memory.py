@@ -17,6 +17,8 @@ import pytest
 import relclock as rc
 from relclock import fixtures
 
+from inputs import product_state
+
 LIMIT_MB = 256.0
 T0 = 2.0
 PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -26,7 +28,8 @@ PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 def readme_case():
     clock = rc.build_free_particle_clock(512, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
     assert clock.default_t_grid().size == 104
-    rho = clock.rho0.tensor(rc.DensityOperator.from_matrix(PLUS, (2,)))
+    # the dense input keeps the dense branch of the window kernel under these bounds
+    rho = product_state(clock, rc.DensityOperator.from_matrix(PLUS, (2,)), "dense")
     return clock, rho, rc.Observable.from_matrix(rc.SIGMA_Z)
 
 

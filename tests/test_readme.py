@@ -18,7 +18,7 @@ def test_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(compile(library_example(), str(README), "exec"), namespace)
-    assert namespace["psi"].factor is not None and namespace["rho"].factor is None
+    assert namespace["psi"].factor is not None and namespace["rho"].factor is not None
     assert 0.0 <= namespace["p"] <= 1.0
     # the pure state and its dense matrix condition alike
     assert namespace["p_psi"] == pytest.approx(namespace["p"], abs=1e-12)

@@ -7,7 +7,7 @@ import relclock as rc
 from relclock.relational import EmpiricalSpreadRate
 
 import oracles
-from inputs import FORMS, entangled_state, qubit_state
+from inputs import FORMS, entangled_state, product_state, qubit_state
 
 I2 = np.eye(2, dtype=complex)
 P_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -32,8 +32,7 @@ class TestConditionalProbability:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_matches_brute_force_grid_oracle(self, free_clock, h_z, rng, form):
-        rho_sys = qubit_state(rng, form)
-        rho = free_clock.rho0.tensor(rho_sys)
+        rho = product_state(free_clock, qubit_state(rng, form), form)
         t_grid = np.linspace(0.0, free_clock.tau, 41)
         got = rc.conditional_probability(rho, P_PLUS, free_clock, 1.5, h_system=h_z, t_grid=t_grid)
         want = oracles.brute_conditional_probability(
@@ -241,7 +240,7 @@ class TestReduceState:
     def test_two_windows_match_brute_force(self, free_clock, h_z, rng, form):
         # conjunction of two overlapping reading windows plus a system value;
         # disjoint windows would make the sandwich identically zero
-        rho = free_clock.rho0.tensor(qubit_state(rng, form))
+        rho = product_state(free_clock, qubit_state(rng, form), form)
         t_grid = np.linspace(0.0, free_clock.tau, 33)
         events = [(P_UP, 1.5), (None, 1.8)]
         got = rc.reduce_state(rho, free_clock, events, h_system=h_z, t_grid=t_grid)

@@ -351,30 +351,40 @@ class TestGramFactor:
         assert ab.factor.shape == (15, ranks[0] * ranks[1]) and ab.space.dims == (5, 3)
         assert np.max(np.abs(ab.matrix - np.kron(a.matrix, b.matrix))) <= 1e-15
 
-    def test_dense_operand_gives_a_dense_product(self, rng):
-        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 5, 1), (5,))
+    def test_dense_operand_gives_a_factored_product(self, rng):
+        # a dense operand enters with its eigh factor: all of its dim columns
+        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 5, 2), (5,))
         b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 3), (3,))
         for ab in (a.tensor(b), b.tensor(a)):
-            assert ab.factor is None
+            assert ab.factor.shape == (15, 2 * 3)
 
-    def test_dense_operand_product_is_the_checked_kron_bitwise(self, rng):
+    def test_dense_operand_product_is_the_checked_kron(self, rng):
         a = rc.DensityOperator.from_factor(self.unit_factor(rng, 5, 2), (5,))
         b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 3), (3,))
         for x, y in ((a, b), (b, a), (b, b), (a.tensor(b), a)):
             xy = x.tensor(y)
             eager = rc.DensityOperator(np.kron(x.matrix, y.matrix), xy.space)
-            assert np.array_equal(xy.matrix, eager.matrix) and not xy.matrix.flags.writeable
+            assert np.max(np.abs(xy.matrix - eager.matrix)) <= 1e-15 and not xy.matrix.flags.writeable
             copied = pickle.loads(pickle.dumps(xy))
-            assert repr(copied) == repr(xy) and np.array_equal(copied.matrix, eager.matrix)
+            assert repr(copied) == repr(xy) and np.array_equal(copied.factor, xy.factor)
+            assert np.array_equal(copied.matrix, xy.matrix)
+
+    def test_dense_operand_within_the_psd_tolerance_is_accepted(self, rng):
+        # lambda_min = -0.5 TOL_PSD passes the checker; its factor clips it to zero
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        lam = np.array([-0.5 * TOL_PSD, 0.4, 0.6 + 0.5 * TOL_PSD])
+        b = rc.DensityOperator.from_matrix((u * lam) @ u.conj().T, (3,))
+        a = rc.DensityOperator.from_factor(self.unit_factor(rng, 4, 1), (4,))
+        ab = a.tensor(b)
+        assert np.max(np.abs(ab.matrix - np.kron(a.matrix, b.matrix))) <= TOL_PSD
 
     def test_dense_operand_product_holds_no_matrix(self, rng):
         a = rc.DensityOperator.from_factor(self.unit_factor(rng, 512, 1), (512,))
         b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 2), (2,))
-        a.matrix  # the operand's own cached matrix is not the product's
         tracemalloc.start()
         try:
             ab = a.tensor(b)
-            ab.matrix
+            a.matrix, ab.matrix  # built on each access, kept by neither state
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -386,6 +396,32 @@ class TestGramFactor:
         b = rc.DensityOperator.from_matrix(np.diag([0.5, 0.5 + 0.6 * TOL_TRACE]), (2,))
         with pytest.raises(rc.ValidationError, match="trace"):
             a.tensor(b)
+
+    def test_factored_reductions_build_no_matrix(self, rng):
+        # the matrix of a 2048-entry vector takes 64 MiB
+        rho = rc.DensityOperator.from_vector(rng.normal(size=2048) + 1j * rng.normal(size=2048), (1024, 2))
+        g = rng.normal(size=(2048, 2048)) + 1j * rng.normal(size=(2048, 2048))
+        op = g + g.conj().T
+        del g
+        m = rho.matrix
+        calls = {
+            "purity": (rho.purity, np.einsum("ij,ji->", m, m).real),
+            "expectation": (lambda: rho.expectation(op), np.einsum("ij,ji->", op, m).real),
+            "partial_trace [0]": (lambda: rc.partial_trace(rho, [0]), rc.partial_trace_matrix(m, (1024, 2), [0])),
+            "partial_trace [1]": (lambda: rc.partial_trace(rho, [1]), rc.partial_trace_matrix(m, (1024, 2), [1])),
+        }
+        del m
+        for name, (call, want) in calls.items():
+            tracemalloc.start()
+            try:
+                got = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20, name
+            # a reduced state's own matrix is built after the traced call
+            got = got.matrix if isinstance(got, rc.DensityOperator) else got
+            assert np.max(np.abs(got - want)) <= 1e-12, name
 
     def test_immutable(self, rng):
         rho = rc.DensityOperator.from_factor(self.unit_factor(rng, 4, 2), (4,))
