@@ -17,14 +17,20 @@ import numpy as np
 
 from .clocks import ClockModel, clock_density
 from .relational import (
+    _CHUNK_ENTRIES,
     ReductionEvent,
+    ZeroProbabilityError,
+    _keeps_factor,
+    _sandwich_state,
     _split_space,
-    _window_sandwich,
+    _window_factor,
     conditional_probabilities,
+    heisenberg_stack,
     reduce_state,
 )
 from .states import (
     TOL_PROJ,
+    TOL_TRACE,
     DensityOperator,
     Observable,
     ProjectorFamily,
@@ -48,9 +54,16 @@ def _schrodinger_frame(
 
     def evolve_rows(m: np.ndarray) -> np.ndarray:
         # (e^{-i H_c t0} (x) u_sys) m, the clock factor as an FFT phase
-        m = np.fft.ifft(phase[:, None, None] * np.fft.fft(m.reshape(n, d_sys, dim), axis=0), axis=0)
-        return (u_sys @ m).reshape(dim, dim)
+        cols = m.shape[1]
+        m = np.fft.fft(m.reshape(n, d_sys, cols), axis=0)
+        # in place, with the operands in the order that phase * m rounds in
+        np.multiply(phase[:, None, None], m, out=m)
+        m = np.fft.ifft(m, axis=0)
+        return (u_sys @ m).reshape(dim, cols)
 
+    if state.factor is not None:
+        # U F F^dagger U^dagger = (U F)(U F)^dagger: only the factor's rows rotate
+        return DensityOperator(None, state.space, factor=evolve_rows(state.factor))
     # U m U^dagger = (U (U m)^dagger)^dagger, taken into a C-ordered matrix: the
     # checker's elementwise passes run slower on a transposed layout.  No name
     # holds the intermediate, which would keep one more matrix alive in the checker.
@@ -81,6 +94,14 @@ def rho_mod(
     return _schrodinger_frame(out, clock, t0, h_system)
 
 
+def _check_family(rho: DensityOperator, family: ProjectorFamily, clock: ClockModel) -> None:
+    _, d_sys = _split_space(rho, clock)
+    if family.dim != d_sys:
+        raise ValidationError(f"family dimension {family.dim} does not match system {d_sys}")
+    if not family.complete:
+        raise ValidationError("outcome family must be complete on the system factor")
+
+
 def rho_event(
     rho: DensityOperator,
     family: ProjectorFamily,
@@ -92,20 +113,15 @@ def rho_event(
 ) -> DensityOperator:
     """Clock-conditioned state additionally pinched over the outcome family:
     what the state would be had one of the outcomes definitely occurred."""
-    _, d_sys = _split_space(rho, clock)
-    if family.dim != d_sys:
-        raise ValidationError(f"family dimension {family.dim} does not match system {d_sys}")
-    if not family.complete:
-        raise ValidationError("outcome family must be complete on the system factor")
+    _check_family(rho, family, clock)
     if t_grid is None:
         t_grid = clock.default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    num = _window_sandwich(rho, clock, clock._window_mask(t0), family.projectors, h_system, t_grid)
     # the family is complete, so pinching keeps the trace of the window sandwich
-    den = float(num.trace().real)
-    if den <= 1e-300:
-        raise ValidationError("clock reading has zero probability")
-    out = DensityOperator(matrix=num / den, space=rho.space)
+    out = _sandwich_state(
+        rho, clock, clock._window_mask(t0), family.projectors, h_system, t_grid,
+        ValidationError("clock reading has zero probability"),
+    )
     if picture == "heisenberg":
         return out
     if picture != "schrodinger":
@@ -263,6 +279,64 @@ class EventRecord:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+def _event_gap(
+    rho: DensityOperator,
+    family: ProjectorFamily,
+    clock: ClockModel,
+    t0: float,
+    h_system: Observable | None,
+    t_grid: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """``distinguishability(rho_mod, rho_event)`` and the outcome probabilities
+    of a Gram-factored rho in one Heisenberg-frame pass of the window kernel.
+
+    With Y the factor of the window sandwich (``rho_mod`` is Y Y^dagger / den,
+    den = ||Y||_F^2) and Z_P = (I (x) P(t)) Y per member, the family resolves
+    the identity, so Y = sum_P Z_P and
+
+        den (rho_mod - rho_event) = Y Y^dagger - sum_P Z_P Z_P^dagger = Z K Z^dagger
+
+    with Z = [Z_P1, Z_P2, ...] and K = (1 1^T - I) (x) I.  Where Z has fewer
+    columns than rows, its R factor (Z = QR, taken over blocks of rows) gives
+    the nonzero spectrum as that of R K R^dagger; otherwise Z K Z^dagger is
+    formed.  Frame rotations are unitary and leave the best projector test
+    unchanged, so none is applied.  The outcome probabilities are
+    ||Z_P||_F^2 / den."""
+    n, d_sys = _split_space(rho, clock)
+    y = _window_factor(rho, clock, clock._window_mask(t0), [np.eye(d_sys)], None, t_grid)
+    den = float(np.vdot(y, y).real)
+    if den <= 1e-300:
+        raise ZeroProbabilityError("reduction has zero probability")
+    nt, members, cols = t_grid.size, len(family), y.shape[1]
+    # (P_1(t); P_2(t); ...) stacked per time, applied to the rows of Y at that time
+    p_t = np.stack([heisenberg_stack(p, h_system, t_grid) for p in family.projectors], axis=1)
+    p_t = p_t.reshape(nt, members * d_sys, d_sys)
+    y = y.reshape(n, d_sys, nt, -1)
+    m = members * cols
+    # blocks of clock nodes: about one chunk each, and at least m rows so that
+    # each QR step reduces at least as many rows as it carries over in R
+    rows = n if m >= n * d_sys else max(-(-m // d_sys), _CHUNK_ENTRIES // (m * d_sys))
+    r = None
+    weight = np.zeros(members)
+    for start in range(0, n, rows):
+        block = y[start : start + rows]
+        b = block.shape[0]
+        w = p_t @ block.transpose(2, 1, 0, 3).reshape(nt, d_sys, -1)
+        weight += np.square(w.view(float)).reshape(nt, members, -1).sum(axis=(0, 2))
+        # Z rows (i, a), columns (P, t, k)
+        z = w.reshape(nt, members, d_sys, b, -1).transpose(3, 2, 1, 0, 4).reshape(b * d_sys, m)
+        if m < n * d_sys:
+            z = np.linalg.qr(z if r is None else np.vstack([r, z]), mode="r")
+        r = z
+    probs = weight / den
+    if not abs(probs.sum() - 1.0) <= TOL_TRACE + TOL_PROJ:
+        raise ArithmeticError(f"pinching changed the trace of the conditioned state: {probs.sum()!r}")
+    blocks = r.reshape(-1, members, cols)
+    gap = (blocks.sum(axis=1, keepdims=True) - blocks).reshape(-1, m) @ r.conj().T
+    lam = np.linalg.eigvalsh(gap)
+    return float(lam[lam > 0].sum()) / den, np.clip(probs, 0.0, 1.0)
+
+
 def detect_event(
     rho: DensityOperator,
     family: ProjectorFamily,
@@ -281,16 +355,26 @@ def detect_event(
         raise ValueError("n_particles must be at least 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    modified = rho_mod(rho, clock, t0, h_system, t_grid)
-    pinched = rho_event(rho, family, clock, t0, h_system, t_grid)
-    d = distinguishability(modified, pinched)
+    _check_family(rho, family, clock)
+    if t_grid is None:
+        t_grid = clock.default_t_grid()
+    t_grid = np.asarray(t_grid, dtype=float)
+    # the fused pass holds the factor Y of rho_mod: where rho_mod would not keep
+    # it, the dense states are the smaller objects
+    if _keeps_factor(rho, t_grid, 1):
+        d, probs = _event_gap(rho, family, clock, t0, h_system, t_grid)
+    else:
+        modified = rho_mod(rho, clock, t0, h_system, t_grid)
+        pinched = rho_event(rho, family, clock, t0, h_system, t_grid)
+        d, probs = distinguishability(modified, pinched), None
     eps = math.exp(-alpha * n_particles)
     occurred = d < eps
 
     outcome_probabilities: dict = {}
     actualized: tuple = ()
     if occurred:
-        probs = conditional_probabilities(rho, family, clock, t0, h_system, t_grid)
+        if probs is None:
+            probs = conditional_probabilities(rho, family, clock, t0, h_system, t_grid)
         outcome_probabilities = {lbl: float(p) for lbl, p in zip(family.labels, probs)}
         cand = candidates if candidates is not None else [(observable_label, family)]
         lattice = actualized_properties(family, cand, state=None)

@@ -134,26 +134,38 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
 _CHUNK_ENTRIES = 1 << 20
 
 
+def _window_dft(n: int, mask: np.ndarray) -> np.ndarray:
+    """fft(E) for the isometry E onto the grid nodes j in ``mask``: the r DFT
+    columns exp(-2 pi i m j / n), built in O(n r) memory.  m j is reduced mod n
+    in integers, so every phase is taken at an angle below 2 pi."""
+    nodes = np.flatnonzero(mask)
+    return np.exp((-2j * np.pi / n) * (np.outer(np.arange(n), nodes) % n))
+
+
 def _window_cores(
-    rho: DensityOperator, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray, traced: bool = False
+    rho: DensityOperator, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray, form: str = "core"
 ):
-    """Yield ``(sl, e, core)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
+    """Yield ``(sl, e, out)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
 
     With E the isometry onto the r grid nodes in ``mask``, ``e[t] = e^{iH_c t} E``
     (shape (c, n, r)) factors the Heisenberg window as W(t) = e[t] e[t]^dagger;
     h_clock is diagonal in the Fourier basis, so ``e`` is a batch of FFTs.
-    ``core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I)`` holds the entry
-    [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where the
-    Heisenberg-evolved full-space window takes (n d)^2.  With ``traced`` the
-    kernel yields the d x d marginal Tr_r core[t] in place of the core.
+    ``out`` depends on ``form``:
+
+    - ``"core"``: core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I), with the entry
+      [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where
+      the Heisenberg-evolved full-space window takes (n d)^2;
+    - ``"traced"``: the d x d marginal Tr_r core[t];
+    - ``"rows"`` (Gram-factored states only): (W(t) (x) I) F, of shape (c, n, d k).
 
     The state enters as a product rho = A B, and core[t] = L(t) R(t) with
     L(t) = (e[t]^dagger (x) I) A and R(t) = B (e[t] (x) I).  A dense state has
     A = rho and B = I: rho (e[t] (x) I) is one matmul with the dense rho, at
     O(n^2 r d^2) per time.  A Gram factor F has A = F and B = F^dagger, so
-    R(t) = L(t)^dagger, and L(t) is the window rows of F's clock index evolved
-    by one FFT per time, at O(k d n log n); a marginal then needs no ``e``,
-    which is None.
+    R(t) = L(t)^dagger.  L(t) transforms the narrower operand: with d k <= r it
+    is the window rows of F's clock index evolved by one FFT per time, at
+    O(k d n log n), and needs no ``e`` for a marginal or rows (``e`` is then
+    None); otherwise it is e[t]^dagger F, one matmul after evolving e's r columns.
     """
     n = clock.n
     d = rho.dim // n
@@ -163,34 +175,83 @@ def _window_cores(
         # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
         rho_j = rho.matrix.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
         per_time = n * d * d * r
+        with_e = True
     else:
         k = f.shape[1]
-        f_hat = np.fft.fft(f.reshape(n, d * k), axis=0)
-        per_time = n * d * (k if traced else max(k, d * r))
-    with_e = f is None or not traced
+        f = f.reshape(n, d * k)
+        fft_rows = d * k <= r
+        if fft_rows:
+            f_hat = np.fft.fft(f, axis=0)
+        with_e = form == "core" or not fft_rows
+        per_time = n * d * k + (n * r if with_e else 0) + ((r * d) ** 2 if form == "core" else 0)
     if with_e:
-        e0 = np.fft.fft(np.eye(n, dtype=complex)[:, mask], axis=0)
+        e0 = _window_dft(n, mask)
     step = max(1, _CHUNK_ENTRIES // max(1, per_time))
     for start in range(0, t_grid.size, step):
         t = t_grid[start : start + step]
         c = t.size
+        sl = slice(start, start + c)
         phase = np.exp(1j * np.outer(t, clock.dispersion))
         e = np.fft.ifft(phase[:, :, None] * e0, axis=1) if with_e else None
         if f is None:
             y = rho_j @ e.transpose(1, 0, 2).reshape(n, c * r)
             y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
             core = (e.conj().transpose(0, 2, 1) @ y).reshape(c, r, d, d, r)
-            out = np.einsum("tkabk->tab", core) if traced else core
+            yield sl, e, np.einsum("tkabk->tab", core) if form == "traced" else core
+            continue
+        if fft_rows:
+            # e^{-iH_c t} on the clock index of F
+            g = np.fft.ifft(phase.conj()[:, :, None] * f_hat, axis=1)
+            if form == "rows":
+                # back from the window rows: e^{iH_c t} E E^dagger e^{-iH_c t} F
+                g[:, ~mask] = 0.0
+                g = np.fft.fft(g, axis=1)
+                g *= phase[:, :, None]
+                yield sl, e, np.fft.ifft(g, axis=1)
+                continue
+            left = g[:, mask]
         else:
-            # L(t): e^{-iH_c t} on the clock index of F, then the window rows
-            left = np.fft.ifft(phase.conj()[:, :, None] * f_hat, axis=1)[:, mask].reshape(c, r, d, k)
-            if traced:
-                out = np.einsum("tkaj,tkbj->tab", left, left.conj())
-            else:
-                flat = left.reshape(c, r * d, k)
-                core = flat @ flat.conj().transpose(0, 2, 1)
-                out = core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
-        yield slice(start, start + c), e, out
+            left = e.conj().transpose(0, 2, 1) @ f
+            if form == "rows":
+                yield sl, e, e @ left
+                continue
+        left = left.reshape(c, r, d, k)
+        if form == "traced":
+            yield sl, e, np.einsum("tkaj,tkbj->tab", left, left.conj())
+        else:
+            flat = left.reshape(c, r * d, k)
+            core = flat @ flat.conj().transpose(0, 2, 1)
+            yield sl, e, core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
+
+
+def _window_factor(
+    rho: DensityOperator,
+    clock: ClockModel,
+    mask: np.ndarray | None,
+    sys_ops: Sequence[np.ndarray],
+    h_system: Observable | None,
+    t_grid: np.ndarray,
+) -> np.ndarray:
+    """The factor Y of the window sandwich of a Gram-factored rho = F F^dagger:
+    its columns sqrt(w_t) (W(t) (x) S(t)) F, ordered (t, S, k), give the
+    sandwich as Y Y^dagger.  W(t) is the identity for ``mask`` None."""
+    n = clock.n
+    d = rho.dim // n
+    k = rho.factor.shape[1]
+    nt = t_grid.size
+    s_t = np.stack([heisenberg_stack(op, h_system, t_grid) for op in sys_ops], axis=1)
+    s_t *= np.sqrt(trapezoid_weights(t_grid))[:, None, None, None]
+    y = np.empty((n, d, nt, len(sys_ops), k), dtype=complex)
+    if mask is None:
+        chunks = [(slice(0, nt), None, np.broadcast_to(rho.factor, (nt, n * d, k)))]
+    else:
+        chunks = _window_cores(rho, clock, mask, t_grid, "rows")
+    for sl, _, x in chunks:
+        # one (|S| d, d) x (d, n k) product per time
+        x = x.reshape(-1, n, d, k).transpose(0, 2, 1, 3).reshape(-1, d, n * k)
+        sx = (s_t[sl].reshape(-1, len(sys_ops) * d, d) @ x).reshape(-1, len(sys_ops), d, n, k)
+        y[:, :, sl] = sx.transpose(3, 2, 0, 1, 4)
+    return y.reshape(n * d, -1)
 
 
 def _window_sandwich(
@@ -230,6 +291,41 @@ def _window_sandwich(
     return acc.reshape(n, d, d, n).transpose(0, 1, 3, 2).reshape(n * d, n * d)
 
 
+def _keeps_factor(rho: DensityOperator, t_grid: np.ndarray, n_ops: int) -> bool:
+    """Whether the window sandwich of rho over ``n_ops`` system operators is
+    kept as its factor Y: rho is Gram-factored and Y, of nt |S| k columns, has
+    no more columns than rows."""
+    return rho.factor is not None and t_grid.size * n_ops * rho.factor.shape[1] <= rho.dim
+
+
+def _sandwich_state(
+    rho: DensityOperator,
+    clock: ClockModel,
+    mask: np.ndarray | None,
+    sys_ops: Sequence[np.ndarray],
+    h_system: Observable | None,
+    t_grid: np.ndarray,
+    zero: Exception,
+) -> DensityOperator:
+    """The window sandwich normalized to unit trace.  A Gram-factored rho whose
+    factor Y (``_window_factor``) has no more columns than rows gives the
+    factored state Y / ||Y||_F; any other rho gives the dense num / tr num of
+    ``_window_sandwich``.  A vanishing trace raises ``zero``."""
+    factored = _keeps_factor(rho, t_grid, len(sys_ops))
+    if factored:
+        out = _window_factor(rho, clock, mask, sys_ops, h_system, t_grid)
+        den = float(np.vdot(out, out).real)
+    else:
+        out = _window_sandwich(rho, clock, mask, sys_ops, h_system, t_grid)
+        den = float(out.trace().real)
+    if den <= 1e-300:
+        raise zero
+    if factored:
+        out /= math.sqrt(den)
+        return DensityOperator(None, rho.space, factor=out)
+    return DensityOperator(matrix=out / den, space=rho.space)
+
+
 def conditional_probabilities(
     rho: DensityOperator,
     projectors: Sequence[np.ndarray] | ProjectorFamily,
@@ -255,7 +351,7 @@ def conditional_probabilities(
     w = trapezoid_weights(t_grid)
 
     marginal = np.empty((t_grid.size, d_sys, d_sys), dtype=complex)
-    for sl, _, m in _window_cores(rho, clock, clock._window_mask(t0), t_grid, traced=True):
+    for sl, _, m in _window_cores(rho, clock, clock._window_mask(t0), t_grid, "traced"):
         marginal[sl] = m
     den = float(np.sum(w * np.einsum("taa->t", marginal).real))
     if den <= 0.0:
@@ -539,11 +635,9 @@ def reduce_state(
     for b in present:
         product = product @ b
 
-    num = _window_sandwich(rho, clock, mask, [product], h_system, t_grid)
-    den = float(num.trace().real)
-    if den <= 1e-300:
-        raise ZeroProbabilityError("reduction has zero probability")
-    return DensityOperator(matrix=num / den, space=rho.space)
+    return _sandwich_state(
+        rho, clock, mask, [product], h_system, t_grid, ZeroProbabilityError("reduction has zero probability")
+    )
 
 
 def history_probability(

@@ -249,13 +249,16 @@ class DensityOperator:
         return m
 
     def _gram_factor(self) -> np.ndarray:
-        """F itself, or V sqrt(max(lambda, 0)) from one eigh of the checked
-        matrix: the checker let through lambda >= -TOL_PSD only, so the
-        clipping moves the state by at most TOL_PSD in operator norm."""
+        """F itself, or V sqrt(lambda) over the eigenpairs of one eigh of the
+        checked matrix with lambda > d eps lambda_max.  The dropped eigenvalues
+        lie within eigh's own rounding of zero (the checker let through
+        lambda >= -TOL_PSD only), so dropping them moves the state by at most
+        max(TOL_PSD, d eps) in operator norm, and a pure state keeps one column."""
         if self.factor is not None:
             return self.factor
         w, v = np.linalg.eigh(self._matrix)
-        return v * np.sqrt(np.maximum(w, 0.0))
+        keep = w > w.size * np.finfo(float).eps * w[-1]
+        return v[:, keep] * np.sqrt(w[keep])
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":

@@ -145,7 +145,8 @@ class TestSchrodingerFrame:
     def test_c_ordered_rotation_is_bitwise_the_transposed_one(
         self, free_clock, h_z, rng, monkeypatch, conditioned
     ):
-        rho = free_clock.rho0.tensor(qubit_state(rng))
+        # a dense input keeps dense conditioned states, which the rotation takes as matrices
+        rho = product_state(free_clock, qubit_state(rng), "dense")
         extra = (z_family(),) if conditioned == "rho_event" else ()
         call = getattr(rc, conditioned)
         heisenberg = call(rho, *extra, free_clock, 1.5, h_system=h_z, picture="heisenberg")
@@ -161,6 +162,19 @@ class TestSchrodingerFrame:
         assert np.array_equal(got.matrix, want.matrix)
         # the Heisenberg-picture state, then its rotation: both handed over C-ordered
         assert checked == [True, True]
+
+    @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
+    def test_factor_rows_rotate_like_the_dense_matrix(self, free_clock, h_z, rng, conditioned):
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rho = free_clock.rho0.tensor(rc.DensityOperator.from_vector(psi, (2,)))
+        extra = (z_family(),) if conditioned == "rho_event" else ()
+        heisenberg = getattr(rc, conditioned)(rho, *extra, free_clock, 1.5, h_system=h_z, picture="heisenberg")
+        assert heisenberg.factor is not None
+        got = rc.events._schrodinger_frame(heisenberg, free_clock, 1.5, h_z)
+        assert got.factor is not None
+        dense = rc.DensityOperator.from_matrix(heisenberg.matrix, heisenberg.space)
+        want = rc.events._schrodinger_frame(dense, free_clock, 1.5, h_z)
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0.0, atol=1e-12)
 
 
 class TestFactoredInput:
@@ -296,6 +310,30 @@ class TestDetectEvent:
         assert payload["event_occurred"] == rec.event_occurred
         assert payload["N_particles"] == 5
         assert payload["metadata"]["clock_ambiguity_width"] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestFusedDetection:
+    """``detect_event`` on a Gram-factored input builds neither conditioned state."""
+
+    @pytest.mark.parametrize("rank, chunk", [(1, None), (1, 4096), (2, None)])
+    def test_matches_the_conditioned_states(self, free_clock, rng, monkeypatch, rank, chunk):
+        # nt = 70: at rank 1, Z has 140 columns for 256 rows and its R factor is
+        # taken (in two blocks of rows with the small chunk); at rank 2 it has
+        # 280 columns and Z K Z^dagger is formed
+        if chunk is not None:
+            monkeypatch.setattr(rc.events, "_CHUNK_ENTRIES", chunk)
+        g = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+        rho = free_clock.rho0.tensor(rc.DensityOperator.from_factor(g / np.linalg.norm(g), (2,)))
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2))
+        family = z_family()
+        t_grid = free_clock.default_t_grid()
+        assert t_grid.size == 70
+        d, probs = rc.events._event_gap(rho, family, free_clock, 1.5, h, t_grid)
+        modified = rc.rho_mod(rho, free_clock, 1.5, h)
+        assert abs(d - rc.distinguishability(modified, rc.rho_event(rho, family, free_clock, 1.5, h))) <= 1e-12
+        want = rc.conditional_probabilities(rho, family, free_clock, 1.5, h)
+        np.testing.assert_allclose(probs, want, rtol=0.0, atol=1e-12)
+        assert rc.detect_event(rho, family, free_clock, 1.5, 10, 0.3, h).distinguishability == d
 
 
 class TestPropertyInclusion:

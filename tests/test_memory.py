@@ -4,7 +4,8 @@ At the README's clock parameters with n = 512 (nt = 104, qubit system) one
 dense (nt, n d, n d) complex stack takes 1.7 GB.  The factored window kernel
 builds no full-space stack, so each call must stay below ``LIMIT_MB``.  A pure
 state kept as a Gram factor goes further: at n = 16384 its dense matrix alone
-would take 16 GiB.  No timing is asserted.  Each test also checks its result
+would take 16 GiB, while its conditioned state stays a factor of nt columns
+and ``detect_event`` builds no state at all.  No timing is asserted.  Each test also checks its result
 through an independent path, since at these sizes the kernel walks the time
 grid in several chunks.
 """
@@ -74,6 +75,33 @@ def test_rho_event_peak(readme_case):
     # sigma_z commutes with the pointer family: the system is the pinched evolved qubit
     system = rc.partial_trace(out, [1]).matrix
     np.testing.assert_allclose(system, rc.events.pinch(schrodinger_plus(h, T0), family), atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def pure_16384():
+    clock = rc.build_free_particle_clock(16384, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    return clock, clock.rho0.tensor(rc.DensityOperator.from_vector(plus, (2,)))
+
+
+def test_rho_mod_on_a_16384_node_clock(pure_16384):
+    # the conditioned state stays a Gram factor Y of nt = 104 columns (54 MB)
+    clock, rho = pure_16384
+    h = rc.Observable.from_matrix(rc.SIGMA_Z)
+    out, peak = traced_peak_mb(lambda: rc.rho_mod(rho, clock, T0, h_system=h))
+    assert peak <= LIMIT_MB
+    assert out.factor is not None
+    np.testing.assert_allclose(rc.partial_trace(out, [1]).matrix, schrodinger_plus(h, T0), atol=1e-9)
+
+
+def test_detect_event_on_a_16384_node_clock(pure_16384):
+    clock, rho = pure_16384
+    family = fixtures.pointer_family_z()
+    rec, peak = traced_peak_mb(lambda: rc.detect_event(rho, family, clock, T0, n_particles=10, alpha=0.3))
+    assert peak <= LIMIT_MB
+    # product input, no system Hamiltonian: d is the system coherence |rho_01| of plus
+    assert rec.distinguishability == pytest.approx(0.5, abs=1e-9)
+    assert not rec.event_occurred
 
 
 def test_factored_state_on_a_16384_node_clock():

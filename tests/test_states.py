@@ -352,7 +352,7 @@ class TestGramFactor:
         assert np.max(np.abs(ab.matrix - np.kron(a.matrix, b.matrix))) <= 1e-15
 
     def test_dense_operand_gives_a_factored_product(self, rng):
-        # a dense operand enters with its eigh factor: all of its dim columns
+        # a dense operand enters with its eigh factor: a full-rank one with all of its dim columns
         a = rc.DensityOperator.from_factor(self.unit_factor(rng, 5, 2), (5,))
         b = rc.DensityOperator.from_matrix(oracles.random_density(rng, 3), (3,))
         for ab in (a.tensor(b), b.tensor(a)):
@@ -368,6 +368,18 @@ class TestGramFactor:
             copied = pickle.loads(pickle.dumps(xy))
             assert repr(copied) == repr(xy) and np.array_equal(copied.factor, xy.factor)
             assert np.array_equal(copied.matrix, xy.matrix)
+
+    def test_pure_dense_operand_enters_with_one_column(self, free_clock, h_z):
+        # eigh leaves the zero eigenvalue of a pure matrix at rounding level; its column is dropped
+        plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
+        rho = free_clock.rho0.tensor(rc.DensityOperator.from_matrix(plus, (2,)))
+        psi = free_clock.rho0.tensor(rc.DensityOperator.from_vector([1, 1], (2,)))
+        assert rho.factor.shape == (2 * free_clock.n, 1)
+        p_rho = rc.conditional_probabilities(rho, [plus, np.eye(2) - plus], free_clock, 1.5, h_z)
+        p_psi = rc.conditional_probabilities(psi, [plus, np.eye(2) - plus], free_clock, 1.5, h_z)
+        assert np.max(np.abs(p_rho - p_psi)) <= 1e-12
+        m_rho = rc.rho_mod(rho, free_clock, 1.5, h_z).matrix
+        assert np.max(np.abs(m_rho - rc.rho_mod(psi, free_clock, 1.5, h_z).matrix)) <= 1e-12
 
     def test_dense_operand_within_the_psd_tolerance_is_accepted(self, rng):
         # lambda_min = -0.5 TOL_PSD passes the checker; its factor clips it to zero
