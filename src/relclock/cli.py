@@ -49,6 +49,7 @@ from .events import actualized_properties, detect_event
 from .relational import (
     EvolutionSetup,
     Trajectory,
+    _write_csv,
     conditional_probability,
     master_evolve,
     newtonian_trajectory,
@@ -62,17 +63,6 @@ from .states import (
     SIGMA_Z,
     interval_projector,
     operator_from_json,
-)
-
-QUERY_KINDS = (
-    "conditional-prob",
-    "physical-evolve",
-    "master-evolve",
-    "decay-scan",
-    "detect-event",
-    "property-lattice",
-    "zurek",
-    "revival-suppression",
 )
 
 _NAMED_STATES = {
@@ -210,13 +200,6 @@ def _parse_projector(spec, system: dict) -> np.ndarray:
 
 # -- query runners --------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _run_conditional_prob(ctx: dict, q: dict, path: Path) -> None:
     system = ctx["system"]
     clock = ctx["clock"]
@@ -230,8 +213,6 @@ def _run_conditional_prob(ctx: dict, q: dict, path: Path) -> None:
 def _run_physical_evolve(ctx: dict, q: dict, path: Path) -> None:
     system = ctx["system"]
     clock = ctx["clock"]
-    if system["h"] is None:
-        raise ConfigError("physical-evolve needs a system hamiltonian")
     t_grid = clock.default_t_grid()
     traj = newtonian_trajectory(system["rho"], system["h"], t_grid)
     times, states = [], []
@@ -244,10 +225,7 @@ def _run_physical_evolve(ctx: dict, q: dict, path: Path) -> None:
 
 def _run_master_evolve(ctx: dict, q: dict, path: Path) -> None:
     system = ctx["system"]
-    if system["h"] is None:
-        raise ConfigError("master-evolve needs a system hamiltonian")
-    rate = q.get("rate", "fundamental")
-    source = ctx["law"] if rate == "fundamental" else None
+    source = ctx["law"] if _fundamental_rate(q) else None
     setup = EvolutionSetup(h_system=system["h"], rate_source=source)
     traj = master_evolve(
         system["rho"], setup, float(q["T_end"]), record_stride=int(q.get("record_stride", 1))
@@ -258,26 +236,20 @@ def _run_master_evolve(ctx: dict, q: dict, path: Path) -> None:
 def _run_decay_scan(ctx: dict, q: dict, path: Path) -> None:
     law = ctx["law"]
     omega = float(q.get("omega", 1.0))
-    rows = []
-    for t_value in q["T_values"]:
-        t_value = float(t_value)
-        rows.append([t_value, offdiag_decay_factor(omega, law, t_value)])
+    rows = [[t, offdiag_decay_factor(omega, law, t)] for t in map(float, q["T_values"])]
     _write_csv(path, ["T", "decay_factor"], rows)
 
 
 def _run_detect_event(ctx: dict, q: dict, path: Path) -> None:
     clock = ctx["clock"]
     family = fixtures.pointer_family_z()
-    state_kind = q.get("system_state", "coherent")
-    if state_kind == "dephased":
+    if _dephased(q):
         env = ctx["env"]
         rho_sys = fixtures.dephased_qubit_state(env, float(q.get("t_star", 1.0)))
         label = f"pointer-z after {env.n_env}-spin dephasing"
-    elif state_kind == "coherent":
+    else:
         rho_sys = _initial_state("plus", (2,))
         label = "pointer-z on an isolated coherent qubit"
-    else:
-        raise ConfigError(f"unknown system_state {state_kind!r}")
     rho = clock.rho0.tensor(rho_sys)
     record = detect_event(
         rho,
@@ -293,8 +265,6 @@ def _run_detect_event(ctx: dict, q: dict, path: Path) -> None:
 
 def _run_property_lattice(ctx: dict, q: dict, path: Path) -> None:
     system = ctx["system"]
-    if system["essential"] is None:
-        raise ConfigError("property-lattice needs a system preset with an essential family")
     lattice = actualized_properties(
         system["essential"], system["candidates"], state=system["rho"]
     )
@@ -334,27 +304,32 @@ def _run_revival_suppression(ctx: dict, q: dict, path: Path) -> None:
     path.write_text(report.to_json() + "\n", encoding="utf-8")
 
 
-_RUNNERS = {
-    "conditional-prob": _run_conditional_prob,
-    "physical-evolve": _run_physical_evolve,
-    "master-evolve": _run_master_evolve,
-    "decay-scan": _run_decay_scan,
-    "detect-event": _run_detect_event,
-    "property-lattice": _run_property_lattice,
-    "zurek": _run_zurek,
-    "revival-suppression": _run_revival_suppression,
+def _fundamental_rate(q: dict) -> bool:
+    return q.get("rate", "fundamental") == "fundamental"
+
+
+def _dephased(q: dict) -> bool:
+    return q.get("system_state", "coherent") == "dephased"
+
+
+# kind -> (runner, artifact suffix, config sections the runner reads); a section
+# paired with a predicate is read only by the queries the predicate accepts
+_KINDS = {
+    "conditional-prob": (_run_conditional_prob, "csv", ("system", "clock")),
+    "physical-evolve": (_run_physical_evolve, "csv", ("system", "clock")),
+    "master-evolve": (_run_master_evolve, "csv", ("system", ("accuracy", _fundamental_rate))),
+    "decay-scan": (_run_decay_scan, "csv", ("accuracy",)),
+    "detect-event": (_run_detect_event, "json", ("clock", ("environment", _dephased))),
+    "property-lattice": (_run_property_lattice, "json", ("system",)),
+    "zurek": (_run_zurek, "csv", ("environment",)),
+    "revival-suppression": (_run_revival_suppression, "json", ("environment", "accuracy")),
 }
 
-_ARTIFACT_SUFFIX = {
-    "conditional-prob": "csv",
-    "physical-evolve": "csv",
-    "master-evolve": "csv",
-    "decay-scan": "csv",
-    "detect-event": "json",
-    "property-lattice": "json",
-    "zurek": "csv",
-    "revival-suppression": "json",
-}
+
+def _sections_read(q: dict) -> list[str]:
+    """Config sections the runner of query ``q`` (of a known kind) reads."""
+    return [s if isinstance(s, str) else s[0]
+            for s in _KINDS[q["kind"]][2] if isinstance(s, str) or s[1](q)]
 
 
 # -- validation -----------------------------------------------------------------
@@ -375,6 +350,14 @@ def _positive(x) -> bool:
 # with a bare ValueError, and int() silently truncates a fraction
 _NUMBER_KEYS = ("T0", "alpha", "omega", "planck_per_unit", "t_star", "t_max")
 _INTEGER_KEYS = ("n_particles", "samples", "n_points", "record_stride")
+
+# what a query reading a missing section is told; a missing clock is one
+# message for the whole config
+_MISSING_SECTION = {
+    "system": "requires the system section",
+    "accuracy": "requires the accuracy section",
+    "environment": "references undefined environment",
+}
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -400,8 +383,7 @@ def validate_config(cfg: dict) -> list[str]:
         violations.append("queries must be a nonempty list")
         queries = []
     needs_clock = any(
-        isinstance(q, dict) and q.get("kind") in ("conditional-prob", "physical-evolve", "detect-event")
-        for q in queries
+        isinstance(q, dict) and q.get("kind") in _KINDS and "clock" in _sections_read(q) for q in queries
     )
     if clock is not None:
         kind = clock.get("type")
@@ -475,7 +457,7 @@ def validate_config(cfg: dict) -> list[str]:
             violations.append(f"query {i} must be an object")
             continue
         kind = q.get("kind")
-        if kind not in QUERY_KINDS:
+        if kind not in _KINDS:
             violations.append(f"query {i}: unknown kind {kind!r}")
             continue
         for key in _NUMBER_KEYS:
@@ -484,14 +466,13 @@ def validate_config(cfg: dict) -> list[str]:
         for key in _INTEGER_KEYS:
             if key in q and not _is_integer(q[key]):
                 violations.append(f"query {i} ({kind}) {key} must be an integer")
-        if kind in ("zurek", "revival-suppression") and env is None:
-            violations.append(f"query {i} ({kind}) references undefined environment")
-        if kind == "detect-event" and q.get("system_state", "coherent") == "dephased" and env is None:
-            violations.append(f"query {i} (detect-event) references undefined environment")
-        if kind in ("decay-scan", "revival-suppression") and acc is None:
-            violations.append(f"query {i} ({kind}) requires the accuracy section")
-        if kind == "master-evolve" and q.get("rate", "fundamental") == "fundamental" and acc is None:
-            violations.append(f"query {i} (master-evolve) requires the accuracy section")
+        for section in _sections_read(q):
+            if section in _MISSING_SECTION and cfg.get(section) is None:
+                violations.append(f"query {i} ({kind}) {_MISSING_SECTION[section]}")
+        if kind in ("master-evolve", "physical-evolve") and (system or {}).get("name") == "three-spin":
+            violations.append(
+                f"query {i} ({kind}) needs a system hamiltonian, and the three-spin preset has none"
+            )
         if kind == "conditional-prob":
             if "T0" not in q:
                 violations.append(f"query {i} (conditional-prob) needs T0")
@@ -510,10 +491,17 @@ def validate_config(cfg: dict) -> list[str]:
             t_values = q.get("T_values")
             if not (isinstance(t_values, list) and t_values and all(map(_is_number, t_values))):
                 violations.append(f"query {i} ({kind}) needs T_values, a nonempty list of numbers")
+            elif kind == "physical-evolve" and any(b <= a for a, b in zip(t_values, t_values[1:])):
+                violations.append(f"query {i} (physical-evolve) T_values must be strictly increasing")
         if kind == "detect-event":
             for key in ("T0", "n_particles", "alpha"):
                 if key not in q:
                     violations.append(f"query {i} (detect-event) needs {key}")
+            state = q.get("system_state", "coherent")
+            if state not in ("coherent", "dephased"):
+                violations.append(
+                    f"query {i} (detect-event) system_state {state!r} is not 'coherent' or 'dephased'"
+                )
         if kind == "revival-suppression" and "planck_per_unit" not in q:
             violations.append(f"query {i} (revival-suppression) needs planck_per_unit")
         if kind == "property-lattice" and (system or {}).get("name") != "three-spin":
@@ -543,9 +531,10 @@ def run_config(cfg: dict, out_dir: Path) -> list[Path]:
     paths = []
     for i, q in enumerate(cfg["queries"]):
         kind = q["kind"]
-        path = out_dir / f"q{i:02d}_{kind}.{_ARTIFACT_SUFFIX[kind]}"
+        run, suffix, _ = _KINDS[kind]
+        path = out_dir / f"q{i:02d}_{kind}.{suffix}"
         try:
-            _RUNNERS[kind](ctx, q, path)
+            run(ctx, q, path)
         except Exception as exc:
             raise QueryError(i, kind, exc) from exc
         paths.append(path)

@@ -243,13 +243,8 @@ def revival_time_estimate(
 
 
 def _fraction_lcm(fractions) -> Fraction:
-    out = Fraction(fractions[0])
-    for f in fractions[1:]:
-        f = Fraction(f)
-        num = out.numerator * f.numerator // math.gcd(out.numerator, f.numerator)
-        den = math.gcd(out.denominator, f.denominator)
-        out = Fraction(num, den)
-    return out
+    fs = [Fraction(f) for f in fractions]
+    return Fraction(math.lcm(*(f.numerator for f in fs)), math.gcd(*(f.denominator for f in fs)))
 
 
 @dataclass(frozen=True)

@@ -405,22 +405,23 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         d = self.states[0].dim
-        cols = ["T"]
-        for i in range(d):
-            for j in range(d):
-                cols.append(f"re_{i}_{j}")
-                cols.append(f"im_{i}_{j}")
-        lines = ["# row-major matrix entries: re_i_j, im_i_j", ",".join(cols)]
-        for t, st in zip(self.times, self.states):
-            vals = [repr(float(t))]
-            m = st.matrix
-            for i in range(d):
-                for j in range(d):
-                    vals.append(repr(float(m[i, j].real)))
-                    vals.append(repr(float(m[i, j].imag)))
-            lines.append(",".join(vals))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        cols = ["T"] + [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+        # viewed as float64, each complex128 matrix is its (re, im) pairs in row-major order
+        entries = np.stack([st.matrix for st in self.states]).view(np.float64).reshape(len(self), -1)
+        table = np.column_stack([self.times, entries])
+        _write_csv(path, cols, table, comment="# row-major matrix entries: re_i_j, im_i_j")
+
+
+def _write_csv(path, header: list[str], table, comment: str | None = None) -> None:
+    """Write a float table row by row: an optional comment line, the header,
+    then each value as ``repr`` of a Python float, which reads back to the
+    same double."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(comment + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in np.asarray(table, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def newtonian_trajectory(rho0: DensityOperator, h: Observable, t_grid: np.ndarray) -> Trajectory:

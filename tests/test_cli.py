@@ -148,6 +148,17 @@ class TestValidate:
              "query 1 (decay-scan) omega must be a number"),
             ("revival_suppression", lambda c: c["queries"][0].update(planck_per_unit=True),
              "query 0 (revival-suppression) planck_per_unit must be a number"),
+            # sections and systems the runners read
+            ("qubit_decay", lambda c: c.pop("system"),
+             "query 0 (master-evolve) requires the system section"),
+            ("conditional_identity", lambda c: c.pop("system"),
+             "query 0 (conditional-prob) requires the system section"),
+            ("qubit_decay", lambda c: c.update(system={"name": "three-spin"}),
+             "query 0 (master-evolve) needs a system hamiltonian, and the three-spin preset has none"),
+            ("physical_evolve", lambda c: c["queries"][0].update(T_values=c["queries"][0]["T_values"][::-1]),
+             "query 0 (physical-evolve) T_values must be strictly increasing"),
+            ("detect_event", lambda c: c["queries"][0].update(system_state="foo"),
+             "query 0 (detect-event) system_state 'foo' is not 'coherent' or 'dephased'"),
         ],
     )
     def test_configs_that_cannot_run_are_violations(self, tmp_path, preset, mutate, message):

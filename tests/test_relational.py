@@ -404,3 +404,25 @@ class TestTrajectoryCsv:
         first = [float(x) for x in lines[2].split(",")]
         assert first[0] == 0.0
         assert first[1] == pytest.approx(rho0.matrix[0, 0].real, abs=0)
+
+        # a dim-8 master-equation trajectory reads back value for value
+        h8 = rc.Observable.from_matrix(oracles.random_hermitian(rng, 8))
+        rho8 = rc.DensityOperator.from_matrix(oracles.random_density(rng, 8), (8,))
+        law = rc.AccuracyLaw(exponent_a=1 / 3, t_planck=1e-2)
+        traj = rc.master_evolve(rho8, rc.EvolutionSetup(h_system=h8, rate_source=law), 1.0)
+        assert len(traj) >= 400
+        traj.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# row-major matrix entries: re_i_j, im_i_j"
+        expected = ["T"]
+        for i in range(8):
+            for j in range(8):
+                expected += [f"re_{i}_{j}", f"im_{i}_{j}"]
+        assert lines[1] == ",".join(expected)
+        assert len(lines) == 2 + len(traj)
+        for line, t, state in zip(lines[2:], traj.times, traj.states):
+            values = line.split(",")
+            assert float(values[0]) == t
+            for k, entry in enumerate(state.matrix.ravel()):
+                assert float(values[1 + 2 * k]) == entry.real
+                assert float(values[2 + 2 * k]) == entry.imag
