@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .clocks import AccuracyLaw, ClockModel, build_free_particle_clock, build_ideal_clock, clock_density
+from .clocks import AccuracyLaw, ClockModel, build_free_particle_clock, build_ideal_clock, clock_densities
 from .dephasing import (
     _PRIMES,
     DIMENSION_CAP,
@@ -49,12 +49,12 @@ from .events import actualized_properties, detect_event
 from .relational import (
     EvolutionSetup,
     Trajectory,
+    _physical_time_states,
     _write_csv,
     conditional_probability,
     master_evolve,
     newtonian_trajectory,
     offdiag_decay_factor,
-    physical_time_state,
 )
 from .states import (
     DensityOperator,
@@ -79,6 +79,10 @@ _NAMED_PROJECTORS = {
     "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
     "minus": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
 }
+
+
+# dimension of each named system preset
+_PRESET_DIMS = {"qubit-sz": 2, "qubit-sx": 2, "three-spin": fixtures.THREE_SPIN_SPACE.total_dim}
 
 
 class ConfigError(ValueError):
@@ -215,11 +219,8 @@ def _run_physical_evolve(ctx: dict, q: dict, path: Path) -> None:
     clock = ctx["clock"]
     t_grid = clock.default_t_grid()
     traj = newtonian_trajectory(system["rho"], system["h"], t_grid)
-    times, states = [], []
-    for t_value in q["T_values"]:
-        density = clock_density(clock, float(t_value), t_grid)
-        states.append(physical_time_state(traj, density))
-        times.append(float(t_value))
+    times = [float(t_value) for t_value in q["T_values"]]
+    states = _physical_time_states(traj, clock_densities(clock, times, t_grid))
     Trajectory(times=np.array(times), states=tuple(states)).to_csv(path)
 
 
@@ -346,6 +347,18 @@ def _positive(x) -> bool:
     return _is_number(x) and x > 0
 
 
+def _system_dim(system: dict) -> int | None:
+    """Dimension of a system section, or None where validate cannot read one."""
+    name = system.get("name")
+    if name is not None:
+        return _PRESET_DIMS.get(name) if isinstance(name, str) else None
+    h = system.get("hamiltonian")
+    dims = h.get("dims") if isinstance(h, dict) else None
+    if isinstance(dims, list) and dims and all(map(_is_integer, dims)):
+        return int(np.prod(dims))
+    return None
+
+
 # query values the runners convert with float() or int(): a string fails there
 # with a bare ValueError, and int() silently truncates a fraction
 _NUMBER_KEYS = ("T0", "alpha", "omega", "planck_per_unit", "t_star", "t_max")
@@ -444,7 +457,7 @@ def validate_config(cfg: dict) -> list[str]:
     system = cfg.get("system")
     if system is not None:
         name = system.get("name")
-        if name is not None and name not in ("qubit-sz", "qubit-sx", "three-spin"):
+        if name is not None and name not in tuple(_PRESET_DIMS):
             violations.append(f"system.name {name!r} is not a known preset")
         if name is None and "hamiltonian" not in system:
             violations.append("system needs either a preset name or a hamiltonian matrix")
@@ -479,8 +492,15 @@ def validate_config(cfg: dict) -> list[str]:
             proj = q.get("projector")
             if proj is None:
                 violations.append(f"query {i} (conditional-prob) needs a projector")
-            elif isinstance(proj, str) and proj != "identity" and proj not in _NAMED_PROJECTORS:
-                violations.append(f"query {i} (conditional-prob) projector {proj!r} is not a named projector")
+            elif isinstance(proj, str) and proj != "identity":
+                dim = _system_dim(system or {})
+                if proj not in _NAMED_PROJECTORS:
+                    violations.append(f"query {i} (conditional-prob) projector {proj!r} is not a named projector")
+                elif dim not in (None, 2):
+                    violations.append(
+                        f"query {i} (conditional-prob) projector {proj!r} acts on a qubit, "
+                        f"and the system has dimension {dim}"
+                    )
         if kind == "master-evolve":
             if not _positive(q.get("T_end")):
                 violations.append(f"query {i} (master-evolve) needs T_end > 0")

@@ -19,12 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .states import DensityOperator, HilbertSpace, Observable
 
 QUAD_TOL = 1e-8
+
+# complex entries of a chunk's largest intermediate (16 MiB): the time grid is
+# walked in chunks so that memory stays bounded at any nt
+_CHUNK_ENTRIES = 1 << 20
 
 
 class UnreachableReadingError(ValueError):
@@ -170,11 +175,33 @@ class ClockModel:
         phases = np.exp(-1j * np.outer(self.dispersion, t))
         return np.fft.ifft(psi_k[:, None] * phases, axis=0)
 
+    def _window_masses(self, t_values: Sequence[float], t_grid: np.ndarray) -> np.ndarray:
+        """Probability of each reading window ``t_values[i]`` at each Newtonian
+        time, shape (k, n_t), from one evolution of psi0 walked over t-chunks.
+
+        Every window is checked before anything is evolved.  The chunks are
+        balanced, so none holds a single column unless n_t = 1: numpy sums an
+        (r, 1) array pairwise, an (r, c >= 2) one row by row, and the two round
+        differently.  The masses thus equal, bit for bit, those of one
+        unchunked ``evolve_state`` over the whole grid.
+        """
+        masks = [self._window_mask(t0) for t0 in t_values]
+        t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+        out = np.empty((len(masks), t.size))
+        step = max(1, _CHUNK_ENTRIES // self.n)
+        start = 0
+        for chunk in np.array_split(t, max(1, -(-t.size // step))):
+            psi_t = self.evolve_state(chunk)
+            sl = slice(start, start + chunk.size)
+            for row, mask in zip(out, masks):
+                row[sl] = np.sum(np.abs(psi_t[mask, :]) ** 2, axis=0)
+            del psi_t  # freed before the next chunk is evolved
+            start += chunk.size
+        return out
+
     def window_probabilities(self, t0: float, t_grid: np.ndarray) -> np.ndarray:
         """Probability of the reading window around ``t0`` at each Newtonian time."""
-        mask = self._window_mask(t0)
-        psi_t = self.evolve_state(t_grid)
-        return np.sum(np.abs(psi_t[mask, :]) ** 2, axis=0)
+        return self._window_masses([t0], t_grid)[0]
 
     def default_t_grid(self, n_points: int | None = None) -> np.ndarray:
         if self.kind == "ideal":
@@ -298,24 +325,35 @@ class ClockDensity:
         return math.sqrt(max(self.variance(), 0.0))
 
 
-def clock_density(clock: ClockModel, t0: float, t_grid: np.ndarray | None = None) -> ClockDensity:
-    """Density that Newtonian time is t given a clock reading in the window
-    around ``t0``, normalized over [0, tau] on the supplied grid."""
+def clock_densities(
+    clock: ClockModel, t_values: Sequence[float], t_grid: np.ndarray | None = None
+) -> list[ClockDensity]:
+    """Densities that Newtonian time is t given a clock reading in the window
+    around each of ``t_values``, normalized over [0, tau] on the supplied grid.
+    One evolution of the clock packet serves every reading."""
     if t_grid is None:
         t_grid = clock.default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    raw = clock.window_probabilities(t0, t_grid)
     w = trapezoid_weights(t_grid)
-    denom = float(np.sum(w * raw))
-    if denom <= 0.0 or not np.isfinite(denom):
-        raise UnreachableReadingError(
-            f"clock never reads {t0} within [0, {clock.tau}]: normalization integral {denom}"
-        )
-    density = raw / denom
-    norm_check = float(np.sum(w * density))
-    return ClockDensity(
-        t_value=float(t0), t_grid=t_grid, density=density, norm_check=norm_check, weight=denom
-    )
+    densities = []
+    for t0, raw in zip(t_values, clock._window_masses(t_values, t_grid)):
+        denom = float(np.sum(w * raw))
+        if denom <= 0.0 or not np.isfinite(denom):
+            raise UnreachableReadingError(
+                f"clock never reads {t0} within [0, {clock.tau}]: normalization integral {denom}"
+            )
+        density = raw / denom
+        norm_check = float(np.sum(w * density))
+        densities.append(ClockDensity(
+            t_value=float(t0), t_grid=t_grid, density=density, norm_check=norm_check, weight=denom
+        ))
+    return densities
+
+
+def clock_density(clock: ClockModel, t0: float, t_grid: np.ndarray | None = None) -> ClockDensity:
+    """Density that Newtonian time is t given a clock reading in the window
+    around ``t0``: the one-reading case of ``clock_densities``."""
+    return clock_densities(clock, [t0], t_grid)[0]
 
 
 def gaussian_clock_density(

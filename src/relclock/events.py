@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clocks import ClockModel, clock_density
+from .clocks import _CHUNK_ENTRIES, ClockModel, clock_density
 from .relational import (
-    _CHUNK_ENTRIES,
     ReductionEvent,
     ZeroProbabilityError,
     _keeps_factor,

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .clocks import (
+    _CHUNK_ENTRIES,
     AccuracyLaw,
     ClockDensity,
     ClockModel,
@@ -431,19 +432,29 @@ def newtonian_trajectory(rho0: DensityOperator, h: Observable, t_grid: np.ndarra
     return Trajectory(times=t, states=tuple(states), metadata={"kind": "unitary"})
 
 
+def _physical_time_states(traj: Trajectory, densities: Sequence[ClockDensity]) -> list[DensityOperator]:
+    """Mixtures of the Newtonian trajectory, stacked once, weighted by each
+    reading density."""
+    stack = np.stack([s.matrix for s in traj.states])
+    states = []
+    for density in densities:
+        if traj.times.size != density.t_grid.size or not np.allclose(
+            traj.times, density.t_grid, rtol=0.0, atol=1e-12
+        ):
+            raise GridMismatchError("trajectory and clock density use different time grids")
+        w = trapezoid_weights(density.t_grid)
+        weights = w * density.density
+        total = float(weights.sum())
+        if total <= 0:
+            raise ZeroProbabilityError("clock density has no weight on the trajectory grid")
+        mix = np.einsum("t,tij->ij", weights / total, stack)
+        states.append(DensityOperator(matrix=mix, space=traj.states[0].space))
+    return states
+
+
 def physical_time_state(traj: Trajectory, density: ClockDensity) -> DensityOperator:
     """Mixture of the Newtonian trajectory weighted by the reading density."""
-    if traj.times.size != density.t_grid.size or not np.allclose(
-        traj.times, density.t_grid, rtol=0.0, atol=1e-12
-    ):
-        raise GridMismatchError("trajectory and clock density use different time grids")
-    w = trapezoid_weights(density.t_grid)
-    weights = w * density.density
-    total = float(weights.sum())
-    if total <= 0:
-        raise ZeroProbabilityError("clock density has no weight on the trajectory grid")
-    mix = np.einsum("t,tij->ij", weights / total, np.stack([s.matrix for s in traj.states]))
-    return DensityOperator(matrix=mix, space=traj.states[0].space)
+    return _physical_time_states(traj, [density])[0]
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,13 @@ PRESETS = [
 ]
 
 
+# a 4-level system with an explicit Hamiltonian and an embedded initial state
+FOUR_LEVEL = {
+    "hamiltonian": {"dims": [4], "re": np.diag([0.0, 1.0, 2.0, 3.0]).tolist(), "im": np.zeros((4, 4)).tolist()},
+    "initial_state": {"dims": [4], "re": np.full((4, 4), 0.25).tolist(), "im": np.zeros((4, 4)).tolist()},
+}
+
+
 class TestValidate:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_bundled_presets_are_clean(self, preset):
@@ -159,6 +166,13 @@ class TestValidate:
              "query 0 (physical-evolve) T_values must be strictly increasing"),
             ("detect_event", lambda c: c["queries"][0].update(system_state="foo"),
              "query 0 (detect-event) system_state 'foo' is not 'coherent' or 'dephased'"),
+            # named qubit projectors on systems that are not qubits
+            ("conditional_identity",
+             lambda c: (c.update(system={"name": "three-spin"}), c["queries"][0].update(projector="up")),
+             "query 0 (conditional-prob) projector 'up' acts on a qubit, and the system has dimension 8"),
+            ("conditional_identity",
+             lambda c: (c.update(system=FOUR_LEVEL), c["queries"][0].update(projector="minus")),
+             "query 0 (conditional-prob) projector 'minus' acts on a qubit, and the system has dimension 4"),
         ],
     )
     def test_configs_that_cannot_run_are_violations(self, tmp_path, preset, mutate, message):
@@ -168,6 +182,14 @@ class TestValidate:
         with pytest.raises(cli.ConfigError, match=re.escape(message)):
             cli.run_config(cfg, tmp_path)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("system", [{"name": "three-spin"}, FOUR_LEVEL], ids=["three-spin", "four-level"])
+    def test_identity_projector_on_any_system_dimension(self, tmp_path, system):
+        cfg = load_preset("conditional_identity")
+        cfg["system"] = system
+        assert cli.validate_config(cfg) == []
+        (path,) = cli.run_config(cfg, tmp_path)
+        assert float(path.read_text().splitlines()[1].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_integral_floats_are_integers(self):
         cfg = load_preset("zurek_n8")

@@ -171,6 +171,42 @@ class TestFreeParticleClock:
             assert mean == pytest.approx(t, abs=1e-3)
 
 
+def unchunked_masses(clock, t_values, t_grid):
+    """Reference: each window's mass from one evolution of the whole grid."""
+    psi_t = clock.evolve_state(t_grid)
+    return [np.sum(np.abs(psi_t[clock._window_mask(t0), :]) ** 2, axis=0) for t0 in t_values]
+
+
+class TestClockDensities:
+    T_VALUES = [0.5, 2.0, 3.25, 5.0]
+
+    @pytest.mark.parametrize("n, nt", [(256, None), (16384, 65)])
+    def test_bitwise_equal_to_one_unchunked_evolution(self, n, nt):
+        clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+        t_grid = clock.default_t_grid() if nt is None else np.linspace(0.0, clock.tau, nt)
+        if nt is not None:
+            # chunked, and a split into full chunks would leave one column
+            assert t_grid.size % (rc.clocks._CHUNK_ENTRIES // n) == 1
+        got = rc.clock_densities(clock, self.T_VALUES, t_grid)
+        w = rc.trapezoid_weights(t_grid)
+        for d, t0, raw in zip(got, self.T_VALUES, unchunked_masses(clock, self.T_VALUES, t_grid)):
+            assert d.t_value == t0
+            assert np.array_equal(d.density, raw / float(np.sum(w * raw)))
+            assert np.array_equal(d.density, rc.clock_density(clock, t0, t_grid).density)
+            assert np.array_equal(clock.window_probabilities(t0, t_grid), raw)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_unreachable_reading_raises_before_any_evolution(self, free_clock, monkeypatch, position):
+        def forbidden(self, t_grid):
+            raise AssertionError("the packet was evolved before every reading was checked")
+
+        monkeypatch.setattr(rc.ClockModel, "evolve_state", forbidden)
+        t_values = [1.0, 2.0]
+        t_values.insert(position, 50.0)
+        with pytest.raises(rc.UnreachableReadingError, match="outside the clock range"):
+            rc.clock_densities(free_clock, t_values)
+
+
 class TestGaussianDensity:
     def test_symmetric_density_moments(self):
         grid = np.linspace(0.0, 6.0, 1201)

@@ -5,7 +5,8 @@ dense (nt, n d, n d) complex stack takes 1.7 GB.  The factored window kernel
 builds no full-space stack, so each call must stay below ``LIMIT_MB``.  A pure
 state kept as a Gram factor goes further: at n = 16384 its dense matrix alone
 would take 16 GiB, while its conditioned state stays a factor of nt columns
-and ``detect_event`` builds no state at all.  No timing is asserted.  Each test also checks its result
+and ``detect_event`` builds no state at all.  The reading densities of several
+readings come from one clock evolution walked over t-chunks.  No timing is asserted.  Each test also checks its result
 through an independent path, since at these sizes the kernel walks the time
 grid in several chunks.
 """
@@ -117,3 +118,18 @@ def test_factored_state_on_a_16384_node_clock():
     assert peak <= LIMIT_MB
     f = rc.effective_projector(PLUS, clock, T0, h_system=h)
     assert p == pytest.approx(float(np.einsum("ij,ji->", f, PLUS).real), abs=1e-9)
+
+
+def test_five_reading_densities_on_a_16384_node_clock():
+    # one evolution walked over t-chunks: a whole (n, nt) packet history would take 300 MiB
+    clock = rc.build_free_particle_clock(16384, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+    t_grid = np.linspace(0.0, clock.tau, 1201)
+    t_values = [1.0, 2.0, 3.0, 4.0, 5.0]
+    densities, peak = traced_peak_mb(lambda: rc.clock_densities(clock, t_values, t_grid))
+    assert peak <= LIMIT_MB
+    assert np.array_equal(densities[1].density, rc.clock_density(clock, t_values[1], t_grid).density)
+    # independent of the chunking: the window masses at a few times, evolved on their own
+    cols = [0, 600, 1200]
+    psi_t = clock.evolve_state(t_grid[cols])
+    raw = np.sum(np.abs(psi_t[clock._window_mask(t_values[1]), :]) ** 2, axis=0)
+    np.testing.assert_allclose(densities[1].density[cols] * densities[1].weight, raw, rtol=1e-12, atol=1e-300)
