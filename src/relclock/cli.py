@@ -43,6 +43,7 @@ from .dephasing import (
     make_factorial_model,
     make_harmonic_model,
     make_incommensurate_model,
+    reduced_system_state,
     revival_suppression,
 )
 from .events import actualized_properties, detect_event
@@ -73,12 +74,8 @@ _NAMED_STATES = {
     "mixed": np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex),
 }
 
-_NAMED_PROJECTORS = {
-    "up": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    "down": np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-    "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "minus": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-}
+# the pure named states are their own projectors
+_NAMED_PROJECTORS = {k: _NAMED_STATES[k] for k in ("up", "down", "plus", "minus")}
 
 
 # dimension of each named system preset
@@ -104,14 +101,9 @@ def preset_path(name: str) -> Path:
 
 # -- builders ------------------------------------------------------------------
 
-def _parse_matrix(spec) -> np.ndarray:
-    mat, _ = operator_from_json(spec)
-    return mat
-
-
 def _initial_state(init, dims) -> DensityOperator:
     """A named state ("plus", ...) or an embedded matrix, checked on ``dims``."""
-    mat = _NAMED_STATES[init] if isinstance(init, str) else _parse_matrix(init)
+    mat = _NAMED_STATES[init] if isinstance(init, str) else operator_from_json(init)[0]
     return DensityOperator.from_matrix(mat, dims)
 
 
@@ -199,7 +191,7 @@ def _parse_projector(spec, system: dict) -> np.ndarray:
         mat, dims = operator_from_json(obs_spec)
         lo, hi = spec["interval"]
         return interval_projector(Observable.from_matrix(mat, dims), float(lo), float(hi))
-    return _parse_matrix(spec)
+    return operator_from_json(spec)[0]
 
 
 # -- query runners --------------------------------------------------------------
@@ -246,7 +238,7 @@ def _run_detect_event(ctx: dict, q: dict, path: Path) -> None:
     family = fixtures.pointer_family_z()
     if _dephased(q):
         env = ctx["env"]
-        rho_sys = fixtures.dephased_qubit_state(env, float(q.get("t_star", 1.0)))
+        rho_sys = reduced_system_state(env, float(q.get("t_star", 1.0)))
         label = f"pointer-z after {env.n_env}-spin dephasing"
     else:
         rho_sys = _initial_state("plus", (2,))
@@ -395,8 +387,11 @@ def validate_config(cfg: dict) -> list[str]:
     if not isinstance(queries, list) or not queries:
         violations.append("queries must be a nonempty list")
         queries = []
+    # kinds are looked up in tuple(_KINDS), which compares with ==: a list or
+    # dict kind is then unknown, where hashing it for the dict would raise
     needs_clock = any(
-        isinstance(q, dict) and q.get("kind") in _KINDS and "clock" in _sections_read(q) for q in queries
+        isinstance(q, dict) and q.get("kind") in tuple(_KINDS) and "clock" in _sections_read(q)
+        for q in queries
     )
     if clock is not None:
         kind = clock.get("type")
@@ -470,7 +465,7 @@ def validate_config(cfg: dict) -> list[str]:
             violations.append(f"query {i} must be an object")
             continue
         kind = q.get("kind")
-        if kind not in _KINDS:
+        if kind not in tuple(_KINDS):
             violations.append(f"query {i}: unknown kind {kind!r}")
             continue
         for key in _NUMBER_KEYS:

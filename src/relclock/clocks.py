@@ -27,8 +27,9 @@ from .states import DensityOperator, HilbertSpace, Observable
 
 QUAD_TOL = 1e-8
 
-# complex entries of a chunk's largest intermediate (16 MiB): the time grid is
-# walked in chunks so that memory stays bounded at any nt
+# complex entries of a chunk's largest intermediate (16 MiB), here and in the
+# window kernel of ``relational``: the time grid is walked in chunks so that
+# memory stays bounded at any nt
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -203,19 +204,21 @@ class ClockModel:
         """Probability of the reading window around ``t0`` at each Newtonian time."""
         return self._window_masses([t0], t_grid)[0]
 
-    def default_t_grid(self, n_points: int | None = None) -> np.ndarray:
+    def default_t_grid(self) -> np.ndarray:
         if self.kind == "ideal":
             # aligned with the grid spacing so rigid translation is exact
             m = int(math.floor(self.tau / self.dx + 1e-9))
             return self.dx * np.arange(m + 1)
-        if n_points is None:
-            # resolve the reading-density structure (packet width and window)
-            # without inflating the full-space quadrature stacks
-            sigma0 = float(self.params.get("sigma0", self.delta_c))
-            dt = max(min(sigma0, self.delta_c) / 6.0, self.tau / 20000.0)
-            n_points = int(math.ceil(self.tau / dt)) + 1
-            n_points = min(max(n_points, 48), 20001)
-        return np.linspace(0.0, self.tau, n_points)
+        # resolve the reading-density structure (packet width and window)
+        # without inflating the full-space quadrature stacks
+        sigma0 = float(self.params.get("sigma0", self.delta_c))
+        dt = max(min(sigma0, self.delta_c) / 6.0, self.tau / 20000.0)
+        n_points = int(math.ceil(self.tau / dt)) + 1
+        return np.linspace(0.0, self.tau, min(max(n_points, 48), 20001))
+
+    def _t_grid(self, t_grid: np.ndarray | None) -> np.ndarray:
+        """``t_grid`` as a float array, or ``default_t_grid()`` for None."""
+        return self.default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
 
 
 def build_free_particle_clock(
@@ -306,17 +309,21 @@ class ClockDensity:
             object.__setattr__(self, name, arr)
         if self.t_grid.shape != self.density.shape:
             raise ValueError("t_grid and density shapes differ")
+        # NaN fails every comparison, so the sign check alone would let it through
+        if not np.isfinite(self.density).all():
+            raise ValueError("density has non-finite entries")
         if np.any(self.density < -1e-12):
             raise ValueError("density has negative entries")
 
+    def _weights(self) -> np.ndarray:
+        """Quadrature weights of the density on its grid: w_t p(t)."""
+        return trapezoid_weights(self.t_grid) * self.density
+
     def _mean_variance(self) -> tuple[float, float]:
-        wd = trapezoid_weights(self.t_grid) * self.density
+        wd = self._weights()
         s = float(np.sum(wd))
         m = float(np.sum(wd * self.t_grid) / s)
         return m, float(np.sum(wd * (self.t_grid - m) ** 2) / s)
-
-    def mean(self) -> float:
-        return self._mean_variance()[0]
 
     def variance(self) -> float:
         return self._mean_variance()[1]
@@ -331,9 +338,7 @@ def clock_densities(
     """Densities that Newtonian time is t given a clock reading in the window
     around each of ``t_values``, normalized over [0, tau] on the supplied grid.
     One evolution of the clock packet serves every reading."""
-    if t_grid is None:
-        t_grid = clock.default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = clock._t_grid(t_grid)
     w = trapezoid_weights(t_grid)
     densities = []
     for t0, raw in zip(t_values, clock._window_masses(t_values, t_grid)):

@@ -103,12 +103,11 @@ def make_incommensurate_model(
     n_env: int,
     system_init: DensityOperator | None = None,
     env_angles: np.ndarray | None = None,
-    scale: float = 1.0,
 ) -> SpinEnvironmentModel:
     """Couplings sqrt(p_k) over the first N primes: no accidental recurrences."""
     if n_env > len(_PRIMES):
         raise ValidationError(f"incommensurate mode supports up to {len(_PRIMES)} spins")
-    g = scale * np.sqrt(np.array(_PRIMES[:n_env], dtype=float))
+    g = np.sqrt(np.array(_PRIMES[:n_env], dtype=float))
     return SpinEnvironmentModel(
         n_env=n_env,
         couplings=g,
@@ -199,19 +198,14 @@ class RevivalEstimate:
     scan_step: float | None = None
 
 
-def revival_time_estimate(
-    model: SpinEnvironmentModel,
-    scan: bool = True,
-    threshold: float = 0.99,
-    max_scan_points: int = 400_000,
-) -> RevivalEstimate:
+def revival_time_estimate(model: SpinEnvironmentModel, scan: bool = True) -> RevivalEstimate:
     """Joint recurrence time of all dephasing factors.
 
     The analytic value is the least common multiple of the factor periods in
-    exact rational arithmetic; z returns to exactly 1 there.  The grid scan
-    reports the first |z| > threshold recurrence, which for symmetric
-    environment polarizations can be an exact divisor of the analytic period
-    (every factor magnitude recurs each half period).
+    exact rational arithmetic; z returns to exactly 1 there.  The grid scan,
+    of at most 400 000 points, reports the first |z| > 0.99 recurrence, which
+    for symmetric environment polarizations can be an exact divisor of the
+    analytic period (every factor magnitude recurs each half period).
     """
     if model.period_units is None or model.period_unit is None:
         raise ValidationError("revival time requires a commensurate coupling mode")
@@ -219,7 +213,8 @@ def revival_time_estimate(
     analytic = float(joint) * model.period_unit
     if not scan:
         return RevivalEstimate(analytic_period=analytic, scanned_time=None, found=False)
-    n_pts = min(max_scan_points, max(20_000, 200 * int(float(joint))))
+    threshold = 0.99
+    n_pts = min(400_000, max(20_000, 200 * int(float(joint))))
     t_grid = np.linspace(0.0, 1.02 * analytic, n_pts)
     step = t_grid[1] - t_grid[0]
     z = np.abs(interference_factor(model, t_grid))
@@ -289,11 +284,12 @@ def minimal_suppression_n(
     omega: float,
     base_period: float,
     planck_per_unit: float,
-    n_cap: int = 100_000,
 ) -> int:
-    """Smallest environment size whose revival-time decay exponent exceeds the
-    interference background exponent (N/2) ln 2.  Factorials are handled in
-    log space, so N is not limited by the simulation dimension cap."""
+    """Smallest environment size, up to 100 000, whose revival-time decay
+    exponent exceeds the interference background exponent (N/2) ln 2.
+    Factorials are handled in log space, so N is not limited by the
+    simulation dimension cap."""
+    n_cap = 100_000
     for n in range(1, n_cap + 1):
         log_t_rev = math.lgamma(n + 1) + math.log(base_period)
         log_expo = _log_decay_exponent(law, omega, log_t_rev, planck_per_unit)

@@ -113,9 +113,7 @@ def rho_event(
     """Clock-conditioned state additionally pinched over the outcome family:
     what the state would be had one of the outcomes definitely occurred."""
     _check_family(rho, family, clock)
-    if t_grid is None:
-        t_grid = clock.default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = clock._t_grid(t_grid)
     # the family is complete, so pinching keeps the trace of the window sandwich
     out = _sandwich_state(
         rho, clock, clock._window_mask(t0), family.projectors, h_system, t_grid,
@@ -157,15 +155,12 @@ def _greedy_matching(candidate: ProjectorFamily, essential: ProjectorFamily) -> 
     return matches
 
 
-def property_included(
-    candidate: ProjectorFamily,
-    essential: ProjectorFamily,
-    tol: float = TOL_PROJ,
-) -> bool:
+def property_included(candidate: ProjectorFamily, essential: ProjectorFamily) -> bool:
     """Whether the candidate property is implied by the essential one.
 
     Operator-level inclusion: some candidate member absorbs each essential
-    projector (P_b P_a = P_a) while every other member annihilates it.
+    projector (P_b P_a = P_a) while every other member annihilates it, both
+    to TOL_PROJ in spectral norm.
     """
     if candidate.dim != essential.dim:
         raise ValidationError("families live on different spaces")
@@ -174,10 +169,10 @@ def property_included(
         for idx, pb in enumerate(candidate.projectors):
             prod = pb @ pa
             if idx == m:
-                if spectral_norm(prod - pa) > tol:
+                if spectral_norm(prod - pa) > TOL_PROJ:
                     return False
             else:
-                if spectral_norm(prod) > tol:
+                if spectral_norm(prod) > TOL_PROJ:
                     return False
     return True
 
@@ -215,7 +210,6 @@ def actualized_properties(
     essential: ProjectorFamily,
     candidates: list[tuple[str, ProjectorFamily]],
     state: DensityOperator | np.ndarray | None = None,
-    tol: float = TOL_PROJ,
 ) -> PropertyLattice:
     """Mark each candidate included/excluded; for included candidates verify on
     the supplied state that pinching over the candidate equals pinching over
@@ -226,7 +220,7 @@ def actualized_properties(
         rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
     pinched_essential = pinch(rho, essential) if rho is not None else None
     for label, fam in candidates:
-        ok = property_included(fam, essential, tol)
+        ok = property_included(fam, essential)
         res = None
         if rho is not None:
             res = float(np.max(np.abs(pinch(rho, fam) - pinched_essential)))
@@ -355,9 +349,7 @@ def detect_event(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _check_family(rho, family, clock)
-    if t_grid is None:
-        t_grid = clock.default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = clock._t_grid(t_grid)
     # the fused pass holds the factor Y of rho_mod: where rho_mod would not keep
     # it, the dense states are the smaller objects
     if _keeps_factor(rho, t_grid, 1):

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .dephasing import SpinEnvironmentModel, reduced_system_state
 from .states import DensityOperator, HilbertSpace, ProjectorFamily, tensor
 
 _UP = np.array([1.0, 0.0], dtype=complex)
@@ -32,9 +31,10 @@ def _ket(*spins: str) -> np.ndarray:
 THREE_SPIN_SPACE = HilbertSpace((2, 2, 2))
 
 
-def three_spin_state(c1: complex = 1 / math.sqrt(2), c2: complex = 1 / math.sqrt(2)) -> DensityOperator:
-    """Pure state c1 * (|++-> + |+-+>)/sqrt(2) + c2 * |-++>."""
-    psi = c1 * (_ket("+", "+", "-") + _ket("+", "-", "+")) / math.sqrt(2.0) + c2 * _ket("-", "+", "+")
+def three_spin_state() -> DensityOperator:
+    """Pure state c * (|++-> + |+-+>)/sqrt(2) + c * |-++> with c = 1/sqrt(2)."""
+    c = 1 / math.sqrt(2)
+    psi = c * (_ket("+", "+", "-") + _ket("+", "-", "+")) / math.sqrt(2.0) + c * _ket("-", "+", "+")
     return DensityOperator.from_vector(psi, THREE_SPIN_SPACE)
 
 
@@ -50,15 +50,14 @@ def three_spin_essential_family() -> ProjectorFamily:
     )
 
 
-def spin_up_family(position: int, n_spins: int = 3) -> ProjectorFamily:
-    """{spin at ``position`` is up, is down} on an n-spin register."""
-    ops_up = [_I2] * n_spins
+def spin_up_family(position: int) -> ProjectorFamily:
+    """{spin at ``position`` is up, is down} on three spins."""
+    ops_up = [_I2] * 3
     ops_up[position] = np.outer(_UP, _UP.conj())
     p_up = tensor(*ops_up)
-    dim = 2**n_spins
     return ProjectorFamily(
         labels=(f"spin{position + 1}-up", f"spin{position + 1}-down"),
-        projectors=(p_up, np.eye(dim) - p_up),
+        projectors=(p_up, np.eye(8) - p_up),
         complete=True,
     )
 
@@ -82,14 +81,8 @@ def three_spin_candidates() -> list[tuple[str, ProjectorFamily]]:
     ]
 
 
-def pointer_family_z(n_factors_after: int = 0) -> ProjectorFamily:
-    """Qubit z family, optionally padded with identities on trailing factors."""
-    pad = [_I2] * n_factors_after
-    p0 = tensor(np.outer(_UP, _UP.conj()), *pad) if pad else np.outer(_UP, _UP.conj())
-    p1 = tensor(np.outer(_DOWN, _DOWN.conj()), *pad) if pad else np.outer(_DOWN, _DOWN.conj())
+def pointer_family_z() -> ProjectorFamily:
+    """Qubit z family."""
+    p0 = np.outer(_UP, _UP.conj())
+    p1 = np.outer(_DOWN, _DOWN.conj())
     return ProjectorFamily(labels=("up", "down"), projectors=(p0, p1), complete=True)
-
-
-def dephased_qubit_state(model: SpinEnvironmentModel, t: float) -> DensityOperator:
-    """Reduced system qubit after dephasing for Newtonian time t."""
-    return reduced_system_state(model, t)

@@ -130,11 +130,6 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
     return clock.n, int(np.prod(dims[1:]))
 
 
-# complex entries of the window kernel's largest intermediate (16 MiB): the
-# time grid is walked in chunks so that memory stays O(n r d^2) at any nt
-_CHUNK_ENTRIES = 1 << 20
-
-
 def _window_dft(n: int, mask: np.ndarray) -> np.ndarray:
     """fft(E) for the isometry E onto the grid nodes j in ``mask``: the r DFT
     columns exp(-2 pi i m j / n), built in O(n r) memory.  m j is reduced mod n
@@ -346,9 +341,7 @@ def conditional_probabilities(
         projectors = projectors.projectors
     n_cl, d_sys = _split_space(rho, clock)
     sys_projs = [_system_projector(q, rho.space, n_cl) for q in projectors]
-    if t_grid is None:
-        t_grid = clock.default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = clock._t_grid(t_grid)
     w = trapezoid_weights(t_grid)
 
     marginal = np.empty((t_grid.size, d_sys, d_sys), dtype=complex)
@@ -442,8 +435,7 @@ def _physical_time_states(traj: Trajectory, densities: Sequence[ClockDensity]) -
             traj.times, density.t_grid, rtol=0.0, atol=1e-12
         ):
             raise GridMismatchError("trajectory and clock density use different time grids")
-        w = trapezoid_weights(density.t_grid)
-        weights = w * density.density
+        weights = density._weights()
         total = float(weights.sum())
         if total <= 0:
             raise ZeroProbabilityError("clock density has no weight on the trajectory grid")
@@ -626,9 +618,7 @@ def reduce_state(
     if not events:
         raise ValueError("at least one reduction event is required")
     n_cl, d_sys = _split_space(rho, clock)
-    if t_grid is None:
-        t_grid = clock.default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = clock._t_grid(t_grid)
 
     present = [_system_projector(e.q_proj, rho.space, n_cl) for e in events if e.q_proj is not None]
     for i in range(len(present)):
@@ -693,14 +683,14 @@ def effective_projector(
     density = clock_density(clock, t0, t_grid)
     q = np.asarray(q_proj, dtype=complex)
     stack = heisenberg_stack(q, h_system, density.t_grid)
-    w = trapezoid_weights(density.t_grid)
-    weights = w * density.density
+    weights = density._weights()
     f = np.einsum("t,tij->ij", weights / weights.sum(), stack)
     return 0.5 * (f + f.conj().T)
 
 
-def quasi_projector_defect(f: np.ndarray, tol: float = 1e-8) -> tuple[float, float]:
+def quasi_projector_defect(f: np.ndarray) -> tuple[float, float]:
     """Rank and defect of a quasi projector: N = Tr F, eta = Tr(F - F^2)/N."""
+    tol = 1e-8
     m = hermitize(np.asarray(f, dtype=complex), tol)
     lam = np.linalg.eigvalsh(m)
     if lam[0] < -tol or lam[-1] > 1.0 + tol:

@@ -65,10 +65,6 @@ class HilbertSpace:
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
     def __mul__(self, other: "HilbertSpace") -> "HilbertSpace":
         return HilbertSpace(self.dims + other.dims)
 
@@ -464,12 +460,11 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator.from_factor(f.reshape(int(np.prod(kept_dims)), -1), kept_dims)
 
 
-def projector_family(obs: Observable, grouping_tol: float | None = None) -> ProjectorFamily:
+def projector_family(obs: Observable) -> ProjectorFamily:
     """One projector per eigenvalue cluster; clusters merge eigenvalues closer
-    than ``grouping_tol`` (default ``1e-8 * max|eigenvalue|``)."""
+    than ``1e-8 * max(max|eigenvalue|, 1)``."""
     w, v = obs.eigenvalues, obs.eigenvectors
-    if grouping_tol is None:
-        grouping_tol = 1e-8 * max(obs.norm(), 1.0)
+    grouping_tol = 1e-8 * max(obs.norm(), 1.0)
     labels: list[float] = []
     projectors: list[np.ndarray] = []
     start = 0

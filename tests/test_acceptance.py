@@ -204,7 +204,7 @@ def test_criterion_07_undecidability_threshold():
         assert not rec.event_occurred
 
         model = rc.make_incommensurate_model(10)
-        dephased = clock.rho0.tensor(fixtures.dephased_qubit_state(model, 7.7))
+        dephased = clock.rho0.tensor(rc.reduced_system_state(model, 7.7))
         rec = rc.detect_event(dephased, family, clock, t0, n_particles=10, alpha=0.3)
         assert rec.event_occurred
         assert rec.distinguishability < rec.epsilon == pytest.approx(math.exp(-3.0))

@@ -1,12 +1,18 @@
+import copy
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import relclock
 from relclock import cli
@@ -78,6 +84,12 @@ class TestValidate:
         cfg["queries"].append({"kind": "nope"})
         assert any("unknown kind" in v for v in cli.validate_config(cfg))
 
+    @pytest.mark.parametrize("kind", [[], {"kind": "zurek"}], ids=["list", "dict"])
+    def test_unhashable_query_kind_is_unknown(self, kind):
+        cfg = load_preset("conditional_identity")
+        cfg["queries"].append({"kind": kind})
+        assert cli.validate_config(cfg) == [f"query 1: unknown kind {kind!r}"]
+
     @pytest.mark.parametrize(
         "preset, mutate, message",
         [
@@ -118,6 +130,14 @@ class TestValidate:
         res = run_cli("validate", str(bad))
         assert res.returncode == 1, res.stdout + res.stderr
         assert "clock.delta_C must be > 0" in json.loads(res.stdout)["violations"]
+
+        # an unhashable kind is a violation, not a traceback
+        cfg = load_preset("conditional_identity")
+        cfg["queries"][0]["kind"] = []
+        bad.write_text(json.dumps(cfg))
+        res = run_cli("validate", str(bad))
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert json.loads(res.stdout) == {"valid": False, "violations": ["query 0: unknown kind []"]}
 
     @pytest.mark.parametrize(
         "preset, mutate, message",
@@ -202,6 +222,55 @@ class TestValidate:
         cfg = load_preset("zurek_n8")
         cfg["environment"] = {"n_spins": 13, "mode": mode}
         assert cli.validate_config(cfg) == []
+
+
+def value_paths(node, path=()):
+    """The key or index path of every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+DELETE = object()
+
+# one of each JSON type, plus strings that name real choices so that mutants
+# get past the first checks; numbers are never larger than the value replaced
+# (below), since validate sets no size limits yet
+REPLACEMENTS = [
+    DELETE, None, "", "x", "ideal", "harmonic", "three-spin", "identity", "dephased", "zurek",
+    [], [0.5], {}, {"kind": "zurek"}, True, False, math.nan, 0, -1, 0.5,
+]
+
+
+@st.composite
+def mutated_presets(draw):
+    """A bundled preset with one value deleted or replaced."""
+    cfg = load_preset(draw(st.sampled_from(PRESETS)))
+    *parents, key = draw(st.sampled_from(list(value_paths(cfg))))
+    holder = reduce(lambda node, k: node[k], parents, cfg)
+    value = draw(st.sampled_from(REPLACEMENTS))
+    if value is DELETE:
+        del holder[key]
+    else:
+        assume(not (cli._is_number(value) and cli._is_number(holder[key]) and value > holder[key]))
+        holder[key] = copy.deepcopy(value)
+    return cfg
+
+
+class TestMutatedPresets:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_presets())
+    def test_validate_never_raises_and_clean_configs_run_or_fail_structured(self, cfg):
+        violations = cli.validate_config(cfg)
+        assert isinstance(violations, list)
+        if violations:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                cli.run_config(cfg, Path(out))
+            except (cli.QueryError, cli.ConfigError):
+                pass
 
 
 class TestRun:

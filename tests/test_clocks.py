@@ -219,3 +219,9 @@ class TestGaussianDensity:
         grid = np.linspace(0.0, 4.0, 401)
         d = rc.delta_clock_density(2.0, grid)
         assert rc.density_moments(d) == (0.0, 0.0)
+
+    def test_gaussian_with_no_mass_on_the_grid_is_rejected(self):
+        # the Gaussian underflows to 0 at every node, so the density is 0 / 0
+        grid = np.linspace(0.0, 6.0, 601)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            rc.gaussian_clock_density(100.0, grid, width=0.1)

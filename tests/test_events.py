@@ -282,7 +282,7 @@ class TestDetectEvent:
 
     def test_dephased_fixture_produces_event(self, ideal_clock):
         model = rc.make_incommensurate_model(10)
-        rho_sys = fixtures.dephased_qubit_state(model, 7.7)
+        rho_sys = rc.reduced_system_state(model, 7.7)
         rho = ideal_clock.rho0.tensor(rho_sys)
         rec = rc.detect_event(
             rho, z_family(), ideal_clock, 10 * ideal_clock.dx, n_particles=10, alpha=0.3
@@ -300,6 +300,19 @@ class TestDetectEvent:
         )
         assert rec.event_occurred
         assert rec.distinguishability <= 1e-9
+
+    def test_candidates_record_the_actualized_sub_properties(self):
+        clock = rc.build_ideal_clock(32, tau=4.0)
+        rho = clock.rho0.tensor(rc.DensityOperator.from_matrix(np.diag([0.3, 0.7]), (2,)))
+        candidates = [
+            ("z", fixtures.pointer_family_z()),
+            ("x", rc.projector_family(rc.Observable.from_matrix(rc.SIGMA_X))),
+        ]
+        rec = rc.detect_event(
+            rho, fixtures.pointer_family_z(), clock, 2.0, n_particles=10, alpha=0.3, candidates=candidates
+        )
+        assert rec.event_occurred
+        assert rec.actualized_properties == ("z",)
 
     def test_record_serialization_round_trip(self, ideal_clock):
         rho = ideal_clock.rho0.tensor(rc.DensityOperator.maximally_mixed((2,)))
