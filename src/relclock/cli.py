@@ -50,12 +50,11 @@ from .events import actualized_properties, detect_event
 from .relational import (
     EvolutionSetup,
     Trajectory,
-    _physical_time_states,
     _write_csv,
     conditional_probability,
     master_evolve,
-    newtonian_trajectory,
     offdiag_decay_factor,
+    physical_time_state,
 )
 from .states import (
     DensityOperator,
@@ -208,11 +207,9 @@ def _run_conditional_prob(ctx: dict, q: dict, path: Path) -> None:
 
 def _run_physical_evolve(ctx: dict, q: dict, path: Path) -> None:
     system = ctx["system"]
-    clock = ctx["clock"]
-    t_grid = clock.default_t_grid()
-    traj = newtonian_trajectory(system["rho"], system["h"], t_grid)
     times = [float(t_value) for t_value in q["T_values"]]
-    states = _physical_time_states(traj, clock_densities(clock, times, t_grid))
+    states = [physical_time_state(system["rho"], system["h"], density)
+              for density in clock_densities(ctx["clock"], times)]
     Trajectory(times=np.array(times), states=tuple(states)).to_csv(path)
 
 
@@ -376,7 +373,7 @@ def validate_config(cfg: dict) -> list[str]:
         return violations
 
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not (_is_integer(seed) and seed >= 0):
         violations.append("seed must be a nonnegative integer")
     out_dir = (cfg.get("output") or {}).get("dir", "artifacts")
     if not isinstance(out_dir, str):

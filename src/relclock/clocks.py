@@ -383,10 +383,14 @@ def gaussian_clock_density(
 
 
 def delta_clock_density(t0: float, t_grid: np.ndarray) -> ClockDensity:
-    """Discrete delta at the grid node nearest ``t0``."""
+    """Discrete delta at the grid node nearest ``t0``.  A ``t0`` more than half
+    a grid step beyond either end of the grid has no nearest node and raises."""
     t_grid = np.asarray(t_grid, dtype=float)
-    idx = int(np.argmin(np.abs(t_grid - t0)))
     w = trapezoid_weights(t_grid)
+    # the end weights are half the end steps
+    if not t_grid[0] - w[0] <= t0 <= t_grid[-1] + w[-1]:
+        raise ValueError(f"t0 = {t0} lies beyond the grid [{t_grid[0]}, {t_grid[-1]}]")
+    idx = int(np.argmin(np.abs(t_grid - t0)))
     density = np.zeros_like(t_grid)
     density[idx] = 1.0 / w[idx]
     return ClockDensity(

@@ -47,7 +47,6 @@ class SpinEnvironmentModel:
     couplings: np.ndarray
     system_init: DensityOperator
     env_angles: np.ndarray
-    coupling_mode: str = "custom"
     period_units: tuple | None = None
     period_unit: float | None = None
 
@@ -113,7 +112,6 @@ def make_incommensurate_model(
         couplings=g,
         system_init=system_init or _default_system(),
         env_angles=_equal_superposition_angles(n_env) if env_angles is None else env_angles,
-        coupling_mode="incommensurate",
     )
 
 
@@ -132,7 +130,6 @@ def make_factorial_model(
         couplings=g,
         system_init=system_init or _default_system(),
         env_angles=_equal_superposition_angles(n_env) if env_angles is None else env_angles,
-        coupling_mode="factorial",
         period_units=tuple(periods),
         period_unit=base_period,
     )
@@ -151,7 +148,6 @@ def make_harmonic_model(
         couplings=g / ks,
         system_init=system_init or _default_system(),
         env_angles=_equal_superposition_angles(n_env),
-        coupling_mode="harmonic",
         period_units=tuple(periods),
         period_unit=math.pi / g,
     )

@@ -183,7 +183,6 @@ class PropertyLattice:
 
     essential: ProjectorFamily
     candidate_labels: tuple
-    candidate_families: tuple
     included: tuple
     transfer_residuals: tuple
 
@@ -214,7 +213,7 @@ def actualized_properties(
     """Mark each candidate included/excluded; for included candidates verify on
     the supplied state that pinching over the candidate equals pinching over
     the essential family (so included properties inherit undecidability)."""
-    labels, families, included, residuals = [], [], [], []
+    labels, included, residuals = [], [], []
     rho = None
     if state is not None:
         rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
@@ -225,13 +224,11 @@ def actualized_properties(
         if rho is not None:
             res = float(np.max(np.abs(pinch(rho, fam) - pinched_essential)))
         labels.append(label)
-        families.append(fam)
         included.append(ok)
         residuals.append(res)
     return PropertyLattice(
         essential=essential,
         candidate_labels=tuple(labels),
-        candidate_families=tuple(families),
         included=tuple(included),
         transfer_residuals=tuple(residuals),
     )

@@ -40,10 +40,6 @@ from .states import (
 )
 
 
-class GridMismatchError(ValueError):
-    """Trajectory and density grids do not coincide."""
-
-
 class ZeroProbabilityError(ValueError):
     """A reduction or history has vanishing probability."""
 
@@ -58,6 +54,7 @@ def _energy_basis_stack(
     times: np.ndarray,
     db: np.ndarray | None = None,
     sign: int = 1,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Schroedinger evolution of ``op`` under ``h`` over a stack of times, with
     energy off-diagonals damped by exp(-sign omega_mn^2 db):
@@ -65,8 +62,10 @@ def _energy_basis_stack(
         v (tilde_mn exp(-i omega_mn t - sign omega_mn^2 db)) v^dagger
 
     with tilde the energy-basis matrix of ``op``.  Every map here that commutes
-    with ad_H (unitary evolution, the dephasing master equation) is such an
-    elementwise factor on energy-basis entries."""
+    with ad_H (unitary evolution, the dephasing master equation, a mixture
+    over times) is such an elementwise factor on energy-basis entries.  With
+    ``weights`` the factors are summed over times, sum_t weights_t exp(...),
+    and one matrix is returned instead of the stack."""
     v = h.eigenvectors
     # tilde before the exponent: a complex exp issued directly after a BLAS
     # call ran several times slower (OpenBLAS 0.3.31 Haswell kernels, x86-64)
@@ -76,7 +75,10 @@ def _energy_basis_stack(
     exponent = -1j * times[:, None, None] * omega
     if db is not None:
         exponent -= sign * db[:, None, None] * omega**2
-    return v @ (tilde * np.exp(exponent, out=exponent)) @ v.conj().T
+    factor = np.exp(exponent, out=exponent)
+    if weights is not None:
+        factor = np.tensordot(weights, factor, axes=1)
+    return v @ (tilde * factor) @ v.conj().T
 
 
 def heisenberg_stack(op: np.ndarray, h: Observable | None, t_grid: np.ndarray) -> np.ndarray:
@@ -425,28 +427,20 @@ def newtonian_trajectory(rho0: DensityOperator, h: Observable, t_grid: np.ndarra
     return Trajectory(times=t, states=tuple(states), metadata={"kind": "unitary"})
 
 
-def _physical_time_states(traj: Trajectory, densities: Sequence[ClockDensity]) -> list[DensityOperator]:
-    """Mixtures of the Newtonian trajectory, stacked once, weighted by each
-    reading density."""
-    stack = np.stack([s.matrix for s in traj.states])
-    states = []
-    for density in densities:
-        if traj.times.size != density.t_grid.size or not np.allclose(
-            traj.times, density.t_grid, rtol=0.0, atol=1e-12
-        ):
-            raise GridMismatchError("trajectory and clock density use different time grids")
-        weights = density._weights()
-        total = float(weights.sum())
-        if total <= 0:
-            raise ZeroProbabilityError("clock density has no weight on the trajectory grid")
-        mix = np.einsum("t,tij->ij", weights / total, stack)
-        states.append(DensityOperator(matrix=mix, space=traj.states[0].space))
-    return states
-
-
-def physical_time_state(traj: Trajectory, density: ClockDensity) -> DensityOperator:
-    """Mixture of the Newtonian trajectory weighted by the reading density."""
-    return _physical_time_states(traj, [density])[0]
+def physical_time_state(rho0: DensityOperator, h: Observable, density: ClockDensity) -> DensityOperator:
+    """The unitary evolution of ``rho0`` under ``h`` mixed over the reading
+    density p_T.  Evolution and mixture commute with ad_H, so in the energy
+    basis rho_mn(T) = rho_mn(0) phi_T(omega_mn), with
+    phi_T(omega) = sum_t w_t p_T(t) e^{-i omega t} / sum_t w_t p_T(t) over the
+    density's own grid; no trajectory is built."""
+    if rho0.dim != h.dim:
+        raise ValidationError("state and Hamiltonian dimensions differ")
+    weights = density._weights()
+    total = float(weights.sum())
+    if total <= 0:
+        raise ZeroProbabilityError("clock density has no weight on its grid")
+    mix = _energy_basis_stack(rho0.matrix, h, density.t_grid, weights=weights / total)
+    return DensityOperator(matrix=mix, space=rho0.space)
 
 
 @dataclass(frozen=True)
@@ -455,7 +449,6 @@ class EmpiricalSpreadRate:
 
     t_values: np.ndarray
     b_values: np.ndarray
-    a_values: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.array(self.t_values, dtype=float)
@@ -466,20 +459,12 @@ class EmpiricalSpreadRate:
         b.flags.writeable = False
         object.__setattr__(self, "t_values", t)
         object.__setattr__(self, "b_values", b)
-        if self.a_values is not None:
-            a = np.array(self.a_values, dtype=float)[order]
-            a.flags.writeable = False
-            object.__setattr__(self, "a_values", a)
 
     @classmethod
     def from_densities(cls, densities: Sequence[ClockDensity]) -> "EmpiricalSpreadRate":
-        t, b, a = [], [], []
-        for d in densities:
-            a_i, b_i = density_moments(d)
-            t.append(d.t_value)
-            b.append(b_i)
-            a.append(a_i)
-        return cls(t_values=np.array(t), b_values=np.array(b), a_values=np.array(a))
+        t = [d.t_value for d in densities]
+        b = [density_moments(d)[1] for d in densities]
+        return cls(t_values=np.array(t), b_values=np.array(b))
 
     def accumulated(self, T: float) -> float:
         return float(np.interp(T, self.t_values, self.b_values))
@@ -682,9 +667,11 @@ def effective_projector(
     A quasi projector; exact for a delta reading density."""
     density = clock_density(clock, t0, t_grid)
     q = np.asarray(q_proj, dtype=complex)
-    stack = heisenberg_stack(q, h_system, density.t_grid)
+    if h_system is None:
+        return 0.5 * (q + q.conj().T)
     weights = density._weights()
-    f = np.einsum("t,tij->ij", weights / weights.sum(), stack)
+    # e^{iHt} Q e^{-iHt} is Q evolved backwards in time
+    f = _energy_basis_stack(q, h_system, -density.t_grid, weights=weights / weights.sum())
     return 0.5 * (f + f.conj().T)
 
 

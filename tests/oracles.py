@@ -87,6 +87,30 @@ def brute_conditional_probability(
     return trapezoid(nums, t_grid) / trapezoid(dens, t_grid)
 
 
+def _density_mixture(values, density, t_grid) -> np.ndarray:
+    """Explicit trapezoid loop over p(t) X(t), divided by that over p(t)."""
+    out = np.zeros_like(values[0], dtype=complex)
+    for k in range(len(t_grid) - 1):
+        step = t_grid[k + 1] - t_grid[k]
+        out = out + 0.5 * (density[k] * values[k] + density[k + 1] * values[k + 1]) * step
+    return out / trapezoid(density, t_grid)
+
+
+def brute_physical_time_state(rho0: np.ndarray, h: np.ndarray, density, t_grid) -> np.ndarray:
+    """Mixture of the unitary trajectory e^{-iHt} rho0 e^{iHt} over the reading
+    density, one expm per grid time."""
+    values = []
+    for t in t_grid:
+        u = expm(-1j * h * t)
+        values.append(u @ rho0 @ u.conj().T)
+    return _density_mixture(values, density, t_grid)
+
+
+def brute_effective_projector(q: np.ndarray, h: np.ndarray, density, t_grid) -> np.ndarray:
+    """Reading-density average of the Heisenberg projector e^{iHt} Q e^{-iHt}."""
+    return _density_mixture([heisenberg(q, h, t) for t in t_grid], density, t_grid)
+
+
 def brute_reduce_state(
     rho: np.ndarray,
     events,

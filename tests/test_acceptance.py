@@ -57,9 +57,8 @@ def test_criterion_01_unitary_limit():
         t_values = [2.5, 5.0, 7.5, 10.0]
         for _ in range(2):
             h, rho0 = _random_four_level(rng)
-            traj = rc.newtonian_trajectory(rho0, h, t_grid)
             for t_value in t_values:
-                mix = rc.physical_time_state(traj, rc.clock_density(clock, t_value, t_grid))
+                mix = rc.physical_time_state(rho0, h, rc.clock_density(clock, t_value, t_grid))
                 want = rc.unitary_evolve(rho0, h, t_value)
                 assert np.max(np.abs(mix.matrix - want.matrix)) <= 1e-8
 
@@ -123,15 +122,14 @@ def _compare_master_with_mixture(h, rho0_vec, t_anchor, t_checks):
     shifted = EmpiricalSpreadRate(t_values=table.t_values - t_anchor, b_values=table.b_values)
 
     rho0 = rc.DensityOperator.from_vector(rho0_vec, (len(rho0_vec),))
-    traj = rc.newtonian_trajectory(rho0, h, t_grid)
-    start = rc.physical_time_state(traj, rc.gaussian_clock_density(t_anchor, t_grid, widths[t_anchor]))
+    start = rc.physical_time_state(rho0, h, rc.gaussian_clock_density(t_anchor, t_grid, widths[t_anchor]))
     setup = rc.EvolutionSetup(h_system=h, rate_source=shifted)
     master = rc.master_evolve(start, setup, max(t_checks) - t_anchor, record_stride=10)
 
     v = h.eigenvectors
     for t_value in t_checks:
         mixture = rc.physical_time_state(
-            traj, rc.gaussian_clock_density(t_value, t_grid, widths[t_value])
+            rho0, h, rc.gaussian_clock_density(t_value, t_grid, widths[t_value])
         )
         got = v.conj().T @ master.state_at(t_value - t_anchor, atol=1e-9).matrix @ v
         want = v.conj().T @ mixture.matrix @ v

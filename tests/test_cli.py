@@ -116,6 +116,13 @@ class TestValidate:
         mutate(cfg)
         assert message in cli.validate_config(cfg)
 
+    def test_seed_checked_like_every_integer_key(self):
+        cfg = load_preset("zurek_n8")
+        cfg["seed"] = True
+        assert "seed must be a nonnegative integer" in cli.validate_config(cfg)
+        cfg["seed"] = 3.0
+        assert cli.validate_config(cfg) == []
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = cli.preset_path("conditional_identity")
         res = run_cli("validate", str(good))

@@ -220,6 +220,15 @@ class TestGaussianDensity:
         d = rc.delta_clock_density(2.0, grid)
         assert rc.density_moments(d) == (0.0, 0.0)
 
+    def test_delta_beyond_the_grid_is_rejected(self):
+        grid = np.linspace(0.0, 6.0, 61)
+        for t0 in (100.0, 6.051, -0.051):
+            with pytest.raises(ValueError, match="beyond the grid"):
+                rc.delta_clock_density(t0, grid)
+        # within half a step of either end the delta sits on the end node
+        assert rc.delta_clock_density(6.049, grid).density[-1] > 0.0
+        assert rc.delta_clock_density(-0.049, grid).density[0] > 0.0
+
     def test_gaussian_with_no_mass_on_the_grid_is_rejected(self):
         # the Gaussian underflows to 0 at every node, so the density is 0 / 0
         grid = np.linspace(0.0, 6.0, 601)

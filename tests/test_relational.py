@@ -89,9 +89,7 @@ class TestPhysicalTimeState:
     def test_delta_density_reproduces_unitary(self, h_z, rng):
         rho0 = qubit_state(rng)
         t_grid = np.linspace(0.0, 4.0, 401)
-        traj = rc.newtonian_trajectory(rho0, h_z, t_grid)
-        density = rc.delta_clock_density(2.0, t_grid)
-        got = rc.physical_time_state(traj, density)
+        got = rc.physical_time_state(rho0, h_z, rc.delta_clock_density(2.0, t_grid))
         want = rc.unitary_evolve(rho0, h_z, 2.0)
         np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
 
@@ -99,9 +97,8 @@ class TestPhysicalTimeState:
         rho0 = qubit_state(rng)
         h0 = rc.Observable.from_matrix(np.zeros((2, 2)))
         t_grid = np.linspace(0.0, 4.0, 401)
-        traj = rc.newtonian_trajectory(rho0, h0, t_grid)
         for t0 in (1.0, 2.0, 3.0):
-            got = rc.physical_time_state(traj, rc.gaussian_clock_density(t0, t_grid, 0.3))
+            got = rc.physical_time_state(rho0, h0, rc.gaussian_clock_density(t0, t_grid, 0.3))
             np.testing.assert_allclose(got.matrix, rho0.matrix, atol=1e-12)
 
     def test_gaussian_width_sets_coherence_loss(self, h_z):
@@ -109,27 +106,54 @@ class TestPhysicalTimeState:
         # the Bohr frequency 2: |rho01(T)| = |rho01(0)| exp(-2 s^2)
         rho0 = rc.DensityOperator.from_matrix(P_PLUS, (2,))
         t_grid = np.linspace(0.0, 8.0, 3201)
-        traj = rc.newtonian_trajectory(rho0, h_z, t_grid)
         for s in (0.1, 0.25, 0.4):
-            got = rc.physical_time_state(traj, rc.gaussian_clock_density(4.0, t_grid, s))
+            got = rc.physical_time_state(rho0, h_z, rc.gaussian_clock_density(4.0, t_grid, s))
             assert abs(got.matrix[0, 1]) == pytest.approx(0.5 * math.exp(-2.0 * s**2), rel=1e-5)
 
     def test_purity_nonincreasing_in_width(self, h_z):
         rho0 = rc.DensityOperator.from_matrix(P_PLUS, (2,))
         t_grid = np.linspace(0.0, 8.0, 3201)
-        traj = rc.newtonian_trajectory(rho0, h_z, t_grid)
         purities = [
-            rc.physical_time_state(traj, rc.gaussian_clock_density(4.0, t_grid, s)).purity()
+            rc.physical_time_state(rho0, h_z, rc.gaussian_clock_density(4.0, t_grid, s)).purity()
             for s in (0.05, 0.1, 0.2, 0.4, 0.8)
         ]
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert all(p <= 1.0 + 1e-12 for p in purities)
 
-    def test_grid_mismatch_rejected(self, h_z, rng):
-        traj = rc.newtonian_trajectory(qubit_state(rng), h_z, np.linspace(0.0, 4.0, 101))
-        density = rc.gaussian_clock_density(2.0, np.linspace(0.0, 4.0, 100), 0.3)
-        with pytest.raises(rc.GridMismatchError):
-            rc.physical_time_state(traj, density)
+    @pytest.mark.parametrize("kind", ["clock", "gaussian"])
+    def test_matches_brute_force_mixture(self, free_clock, rng, kind):
+        h = oracles.random_hermitian(rng, 4)
+        rho0 = rc.DensityOperator.from_matrix(oracles.random_density(rng, 4), (4,))
+        t_grid = np.linspace(0.0, free_clock.tau, 81)
+        if kind == "clock":
+            density = rc.clock_density(free_clock, 1.5, t_grid)
+        else:
+            density = rc.gaussian_clock_density(1.5, t_grid, 0.3)
+        got = rc.physical_time_state(rho0, rc.Observable.from_matrix(h), density)
+        want = oracles.brute_physical_time_state(rho0.matrix, h, density.density, t_grid)
+        assert np.max(np.abs(got.matrix - want)) <= 1e-12
+
+    def test_effective_projector_matches_brute_heisenberg_average(self, free_clock, rng):
+        h = oracles.random_hermitian(rng, 4)
+        u = oracles.random_unitary(rng, 4)
+        q = u[:, :2] @ u[:, :2].conj().T
+        t_grid = np.linspace(0.0, free_clock.tau, 81)
+        got = rc.effective_projector(q, free_clock, 1.5, rc.Observable.from_matrix(h), t_grid)
+        density = rc.clock_density(free_clock, 1.5, t_grid).density
+        want = oracles.brute_effective_projector(q, h, density, t_grid)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_zero_density_rejected(self, h_z, rng):
+        t_grid = np.linspace(0.0, 4.0, 101)
+        density = rc.ClockDensity(t_value=2.0, t_grid=t_grid, density=np.zeros(101), norm_check=0.0)
+        with pytest.raises(rc.ZeroProbabilityError):
+            rc.physical_time_state(qubit_state(rng), h_z, density)
+
+    def test_dimension_mismatch_rejected(self, rng):
+        h4 = rc.Observable.from_matrix(oracles.random_hermitian(rng, 4))
+        density = rc.gaussian_clock_density(2.0, np.linspace(0.0, 4.0, 101), 0.3)
+        with pytest.raises(rc.ValidationError, match="dimensions differ"):
+            rc.physical_time_state(qubit_state(rng), h4, density)
 
 
 class TestMasterEvolve:
