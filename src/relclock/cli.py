@@ -349,7 +349,8 @@ def _system_dim(system: dict) -> int | None:
 
 
 # query values the runners convert with float() or int(): a string fails there
-# with a bare ValueError, and int() silently truncates a fraction
+# with a bare ValueError, and int() silently truncates a fraction; every
+# integer key is a count, so it must also be at least 1
 _NUMBER_KEYS = ("T0", "alpha", "omega", "planck_per_unit", "t_star", "t_max")
 _INTEGER_KEYS = ("n_particles", "samples", "n_points", "record_stride")
 
@@ -471,6 +472,8 @@ def validate_config(cfg: dict) -> list[str]:
         for key in _INTEGER_KEYS:
             if key in q and not _is_integer(q[key]):
                 violations.append(f"query {i} ({kind}) {key} must be an integer")
+            elif key in q and q[key] < 1:
+                violations.append(f"query {i} ({kind}) {key} must be at least 1")
         for section in _sections_read(q):
             if section in _MISSING_SECTION and cfg.get(section) is None:
                 violations.append(f"query {i} ({kind}) {_MISSING_SECTION[section]}")
@@ -496,9 +499,6 @@ def validate_config(cfg: dict) -> list[str]:
         if kind == "master-evolve":
             if not _positive(q.get("T_end")):
                 violations.append(f"query {i} (master-evolve) needs T_end > 0")
-            stride = q.get("record_stride", 1)
-            if _is_number(stride) and stride < 1:
-                violations.append(f"query {i} (master-evolve) record_stride must be at least 1")
         if kind in ("physical-evolve", "decay-scan"):
             t_values = q.get("T_values")
             if not (isinstance(t_values, list) and t_values and all(map(_is_number, t_values))):

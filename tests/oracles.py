@@ -172,6 +172,23 @@ def brute_rho_event(
     return out / trapezoid(dens, t_grid)
 
 
+def brute_reduced_coherence(rho_sys: np.ndarray, couplings, env_angles, t: float) -> complex:
+    """rho_10(t) of a qubit coupled to N spins by H = sigma_z x sum_k g_k sigma_z^(k),
+    the spins starting in the Bloch states (theta_k, phi_k): one expm of the
+    dense 2^(N+1) Hamiltonian, spin 1 the first kron factor of the
+    environment, then the environment traced out element by element."""
+    sz = np.diag([1.0, -1.0])
+    n = len(couplings)
+    h_env = np.zeros((2**n, 2**n))
+    env = np.ones(1, dtype=complex)
+    for k, (g, (theta, phi)) in enumerate(zip(couplings, env_angles)):
+        h_env += g * np.kron(np.kron(np.eye(2**k), sz), np.eye(2 ** (n - k - 1)))
+        env = np.kron(env, [np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
+    u = expm(-1j * np.kron(sz, h_env) * t)
+    rho = u @ np.kron(rho_sys, np.outer(env, env.conj())) @ u.conj().T
+    return brute_partial_trace(rho, (2, 2**n), [0])[1, 0]
+
+
 def boosted_packet_vector(rng, psi0: np.ndarray, x: np.ndarray, d_sys: int) -> np.ndarray:
     """sum_k a_k (clock packet boosted by kappa_k) x |k>: a clock-system
     entangled pure state, as a unit vector on the full space."""

@@ -97,6 +97,14 @@ class TestValidate:
              "query 0 (master-evolve) record_stride must be at least 1"),
             ("qubit_decay", lambda c: c["queries"][0].update(record_stride=-1),
              "query 0 (master-evolve) record_stride must be at least 1"),
+            ("zurek_n8", lambda c: c["queries"][0].update(n_points=0),
+             "query 0 (zurek) n_points must be at least 1"),
+            ("zurek_n8", lambda c: c["queries"][0].update(samples=0),
+             "query 0 (zurek) samples must be at least 1"),
+            ("detect_event", lambda c: c["queries"][0].update(n_particles=0),
+             "query 0 (detect-event) n_particles must be at least 1"),
+            ("detect_event", lambda c: c["queries"][1].update(n_particles=-1),
+             "query 1 (detect-event) n_particles must be at least 1"),
             ("qubit_decay", lambda c: c["queries"][0].pop("T_end"),
              "query 0 (master-evolve) needs T_end > 0"),
             ("qubit_decay", lambda c: c["queries"][1].update(T_values=[]),

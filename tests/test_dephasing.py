@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 import relclock as rc
 from relclock.dephasing import SpinEnvironmentModel, _default_system
 
+import oracles
+
+
+def random_angles(rng, n: int) -> np.ndarray:
+    """Bloch angles (theta, phi) of n unlike environment spins."""
+    return np.column_stack([rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n)])
 
 
 class TestInterferenceFactor:
@@ -42,6 +48,20 @@ class TestInterferenceFactor:
         )
         for t in (0.5, 1.7, 4.0):
             assert abs(rc.interference_factor(model, t)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_equals_branch_sum_in_amplitude_order(self, rng):
+        # z(t) = sum_s |amp_s|^2 e^{2i E_s t}: branch_energies pairs with env_amplitudes
+        for n in range(1, 8):
+            model = SpinEnvironmentModel(
+                n_env=n,
+                couplings=rng.uniform(0.2, 3.0, n),
+                system_init=_default_system(),
+                env_angles=random_angles(rng, n),
+            )
+            t = rng.uniform(0.0, 10.0, 5)
+            weights = np.abs(model.env_amplitudes()) ** 2
+            branch_sum = np.exp(2j * np.outer(t, model.branch_energies())) @ weights
+            np.testing.assert_allclose(branch_sum, rc.interference_factor(model, t), rtol=0, atol=1e-12)
 
 
 class TestExactReducedCoherence:
@@ -80,6 +100,19 @@ class TestExactReducedCoherence:
             assert many.shape == t.shape
             assert np.array_equal(many, [rc.exact_reduced_coherence(model, float(x)) for x in t])
         assert isinstance(rc.exact_reduced_coherence(model, np.float64(1.5)), complex)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "make", [rc.make_incommensurate_model, rc.make_factorial_model], ids=["incommensurate", "factorial"]
+    )
+    def test_unlike_spins_match_dense_register_evolution(self, rng, make, n):
+        rho = oracles.random_density(rng, 2)
+        angles = random_angles(rng, n)
+        model = make(n, system_init=rc.DensityOperator.from_matrix(rho, (2,)), env_angles=angles)
+        t = rng.uniform(0.0, 5.0, 4)
+        want = [oracles.brute_reduced_coherence(rho, model.couplings, angles, x) for x in t]
+        np.testing.assert_allclose(rc.exact_reduced_coherence(model, t), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rc.interference_factor(model, t) * rho[1, 0], want, rtol=0, atol=1e-12)
 
     def test_dimension_cap(self):
         with pytest.raises(rc.ValidationError, match="cap"):

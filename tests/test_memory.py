@@ -8,7 +8,9 @@ would take 16 GiB, while its conditioned state stays a factor of nt columns
 and ``detect_event`` builds no state at all.  The reading densities of several
 readings come from one clock evolution walked over t-chunks.  No timing is asserted.  Each test also checks its result
 through an independent path, since at these sizes the kernel walks the time
-grid in several chunks.
+grid in several chunks.  The spin-register oracle walks its times in chunks
+of about 2^14 register entries, so its bound, ``ORACLE_LIMIT_MB``, is far
+tighter.
 """
 
 import tracemalloc
@@ -22,6 +24,7 @@ from relclock import fixtures
 from inputs import product_state
 
 LIMIT_MB = 256.0
+ORACLE_LIMIT_MB = 4.0
 T0 = 2.0
 PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 
@@ -133,3 +136,13 @@ def test_five_reading_densities_on_a_16384_node_clock():
     psi_t = clock.evolve_state(t_grid[cols])
     raw = np.sum(np.abs(psi_t[clock._window_mask(t_values[1]), :]) ** 2, axis=0)
     np.testing.assert_allclose(densities[1].density[cols] * densities[1].weight, raw, rtol=1e-12, atol=1e-300)
+
+
+def test_register_oracle_on_thirteen_spins():
+    # one (times, 2^13) phase table for all 2000 times would take 250 MiB
+    model = rc.make_incommensurate_model(13)
+    t = np.linspace(0.0, 20.0, 2000)
+    z, peak = traced_peak_mb(lambda: rc.exact_reduced_coherence(model, t))
+    assert peak <= ORACLE_LIMIT_MB
+    closed = rc.interference_factor(model, t) * model.system_init.matrix[1, 0]
+    np.testing.assert_allclose(z, closed, rtol=0, atol=1e-12)
