@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -107,11 +108,11 @@ def _initial_state(init, dims) -> DensityOperator:
 
 
 def build_system(cfg: dict) -> dict:
-    """Returns {'h': Observable | None, 'rho': DensityOperator, 'label': str,
+    """Returns {'h': Observable | None, 'rho': DensityOperator,
     'essential': family | None, 'candidates': list | None}."""
     spec = cfg.get("system", {})
     name = spec.get("name")
-    out: dict = {"h": None, "essential": None, "candidates": None, "label": name or "system"}
+    out: dict = {"h": None, "essential": None, "candidates": None}
     if name == "qubit-sz":
         out["h"] = Observable.from_matrix(SIGMA_Z)
         out["rho"] = _initial_state(spec.get("initial_state", "plus"), (2,))
@@ -325,7 +326,8 @@ def _sections_read(q: dict) -> list[str]:
 # -- validation -----------------------------------------------------------------
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # json parses NaN and Infinity; an int is finite (math.isfinite overflows beyond the float range)
+    return not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and math.isfinite(x))
 
 
 def _is_integer(x) -> bool:

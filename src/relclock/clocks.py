@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import DensityOperator, HilbertSpace, Observable
+from .states import DensityOperator, HilbertSpace, Observable, _freeze
 
 QUAD_TOL = 1e-8
 
@@ -60,7 +60,7 @@ class AccuracyLaw:
     def __post_init__(self):
         if not 0.0 < self.exponent_a <= 1.0:
             raise ValueError(f"exponent must lie in (0, 1], got {self.exponent_a}")
-        if self.t_planck <= 0.0:
+        if not self.t_planck > 0.0:
             raise ValueError(f"t_planck must be positive, got {self.t_planck}")
 
     def delta_t(self, T: float) -> float:
@@ -112,12 +112,10 @@ class ClockModel:
 
     def __post_init__(self):
         for name in ("x", "dispersion", "psi0"):
-            arr = np.array(getattr(self, name), copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.delta_c <= 0:
+            object.__setattr__(self, name, _freeze(getattr(self, name), None))
+        if not self.delta_c > 0:
             raise ValueError("clock window half-width must be positive")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("operational horizon tau must be positive")
 
     @property
@@ -141,13 +139,7 @@ class ClockModel:
     @cached_property
     def h_clock(self) -> Observable:
         v = self._fourier_basis
-        h = (v * self.dispersion) @ v.conj().T
-        return Observable(
-            matrix=h,
-            space=self.space,
-            eigenvalues=self.dispersion.astype(float),
-            eigenvectors=v,
-        )
+        return Observable(matrix=(v * self.dispersion) @ v.conj().T, space=self.space)
 
     @cached_property
     def rho0(self) -> DensityOperator:
@@ -235,9 +227,9 @@ def build_free_particle_clock(
     """
     if grid_points < 8:
         raise ValueError("grid_points must be at least 8")
-    if mass <= 0 or sigma0 <= 0:
+    if not (mass > 0 and sigma0 > 0):
         raise ValueError("mass and sigma0 must be positive")
-    if delta_c <= 0 or tau <= 0:
+    if not (delta_c > 0 and tau > 0):
         raise ValueError("delta_c and tau must be positive")
     sigma_max = math.sqrt(sigma0**2 + tau**2 / (4.0 * mass**2 * sigma0**2))
     pad = max(8.0 * sigma_max, 4.0 * delta_c, 6.0 * sigma0)
@@ -271,7 +263,7 @@ def build_ideal_clock(grid_points: int, tau: float, delta_c: float | None = None
     """
     if grid_points < 8:
         raise ValueError("grid_points must be at least 8")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     spare = 4
     dx = tau / (grid_points - spare)
@@ -304,9 +296,7 @@ class ClockDensity:
 
     def __post_init__(self):
         for name in ("t_grid", "density"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name), float))
         if self.t_grid.shape != self.density.shape:
             raise ValueError("t_grid and density shapes differ")
         # NaN fails every comparison, so the sign check alone would let it through
@@ -347,12 +337,14 @@ def clock_densities(
             raise UnreachableReadingError(
                 f"clock never reads {t0} within [0, {clock.tau}]: normalization integral {denom}"
             )
-        density = raw / denom
-        norm_check = float(np.sum(w * density))
-        densities.append(ClockDensity(
-            t_value=float(t0), t_grid=t_grid, density=density, norm_check=norm_check, weight=denom
-        ))
+        densities.append(_normalized_density(t0, t_grid, w, raw, denom))
     return densities
+
+
+def _normalized_density(t0, t_grid: np.ndarray, w: np.ndarray, raw: np.ndarray, denom: float) -> ClockDensity:
+    """raw / denom on ``t_grid`` (quadrature weights ``w``), weighted by its normalization ``denom``."""
+    density = raw / denom
+    return ClockDensity(float(t0), t_grid, density, norm_check=float(np.sum(w * density)), weight=denom)
 
 
 def clock_density(clock: ClockModel, t0: float, t_grid: np.ndarray | None = None) -> ClockDensity:
@@ -371,15 +363,7 @@ def gaussian_clock_density(
     mu = t0 if mean is None else mean
     raw = np.exp(-((t_grid - mu) ** 2) / (2.0 * width**2))
     w = trapezoid_weights(t_grid)
-    denom = float(np.sum(w * raw))
-    density = raw / denom
-    return ClockDensity(
-        t_value=float(t0),
-        t_grid=t_grid,
-        density=density,
-        norm_check=float(np.sum(w * density)),
-        weight=denom,
-    )
+    return _normalized_density(t0, t_grid, w, raw, float(np.sum(w * raw)))
 
 
 def delta_clock_density(t0: float, t_grid: np.ndarray) -> ClockDensity:

@@ -23,7 +23,7 @@ import numpy as np
 from . import _accel
 from .clocks import AccuracyLaw
 from .relational import offdiag_decay_factor
-from .states import DensityOperator, ValidationError
+from .states import DensityOperator, ValidationError, _freeze
 
 DIMENSION_CAP = 2**14
 
@@ -61,16 +61,14 @@ class SpinEnvironmentModel:
             raise ValidationError(
                 f"total dimension 2^{self.n_env + 1} exceeds the cap {DIMENSION_CAP}"
             )
-        g = np.array(self.couplings, dtype=float)
-        ang = np.array(self.env_angles, dtype=float)
+        g = _freeze(self.couplings, float)
+        ang = _freeze(self.env_angles, float)
         if g.shape != (self.n_env,):
             raise ValidationError(f"expected {self.n_env} couplings, got shape {g.shape}")
         if ang.shape != (self.n_env, 2):
             raise ValidationError("env_angles must have shape (N, 2)")
         if self.system_init.dim != 2:
             raise ValidationError("system must be a qubit")
-        g.flags.writeable = False
-        ang.flags.writeable = False
         object.__setattr__(self, "couplings", g)
         object.__setattr__(self, "env_angles", ang)
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .clocks import _CHUNK_ENTRIES, ClockModel, clock_density
 from .relational import (
-    ReductionEvent,
     ZeroProbabilityError,
     _keeps_factor,
     _sandwich_state,
@@ -25,7 +24,6 @@ from .relational import (
     _window_factor,
     conditional_probabilities,
     heisenberg_stack,
-    reduce_state,
 )
 from .states import (
     TOL_PROJ,
@@ -71,6 +69,16 @@ def _schrodinger_frame(
     )
 
 
+def _conditioned_state(rho, clock, t0, sys_ops, h_system, t_grid, picture, zero) -> DensityOperator:
+    """The normalized window sandwich around ``t0`` over ``sys_ops`` ([I] for
+    ``rho_mod``, the family for ``rho_event``), rotated into the Schroedinger
+    frame unless ``picture`` is "heisenberg".  A vanishing trace raises ``zero``."""
+    if picture not in ("heisenberg", "schrodinger"):
+        raise ValueError(f"unknown picture {picture!r}")
+    out = _sandwich_state(rho, clock, clock._window_mask(t0), sys_ops, h_system, clock._t_grid(t_grid), zero)
+    return out if picture == "heisenberg" else _schrodinger_frame(out, clock, t0, h_system)
+
+
 def rho_mod(
     rho: DensityOperator,
     clock: ClockModel,
@@ -85,12 +93,11 @@ def rho_mod(
     an ideal clock yields the unitarily evolved system at t0 next to the
     collapsed clock window; ``"heisenberg"`` returns the raw sandwich integral.
     """
-    out = reduce_state(rho, clock, [ReductionEvent(q_proj=None, t0=t0)], h_system, t_grid)
-    if picture == "heisenberg":
-        return out
-    if picture != "schrodinger":
-        raise ValueError(f"unknown picture {picture!r}")
-    return _schrodinger_frame(out, clock, t0, h_system)
+    _, d_sys = _split_space(rho, clock)
+    return _conditioned_state(
+        rho, clock, t0, [np.eye(d_sys, dtype=complex)], h_system, t_grid, picture,
+        ZeroProbabilityError("reduction has zero probability"),
+    )
 
 
 def _check_family(rho: DensityOperator, family: ProjectorFamily, clock: ClockModel) -> None:
@@ -113,17 +120,11 @@ def rho_event(
     """Clock-conditioned state additionally pinched over the outcome family:
     what the state would be had one of the outcomes definitely occurred."""
     _check_family(rho, family, clock)
-    t_grid = clock._t_grid(t_grid)
     # the family is complete, so pinching keeps the trace of the window sandwich
-    out = _sandwich_state(
-        rho, clock, clock._window_mask(t0), family.projectors, h_system, t_grid,
+    return _conditioned_state(
+        rho, clock, t0, family.projectors, h_system, t_grid, picture,
         ValidationError("clock reading has zero probability"),
     )
-    if picture == "heisenberg":
-        return out
-    if picture != "schrodinger":
-        raise ValueError(f"unknown picture {picture!r}")
-    return _schrodinger_frame(out, clock, t0, h_system)
 
 
 def pinch(matrix: np.ndarray, family: ProjectorFamily) -> np.ndarray:
@@ -343,7 +344,7 @@ def detect_event(
     told apart by any projector test to better than exp(-alpha * N)."""
     if n_particles < 1:
         raise ValueError("n_particles must be at least 1")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     _check_family(rho, family, clock)
     t_grid = clock._t_grid(t_grid)
@@ -352,8 +353,9 @@ def detect_event(
     if _keeps_factor(rho, t_grid, 1):
         d, probs = _event_gap(rho, family, clock, t0, h_system, t_grid)
     else:
-        modified = rho_mod(rho, clock, t0, h_system, t_grid)
-        pinched = rho_event(rho, family, clock, t0, h_system, t_grid)
+        # the test is unitarily invariant: both states stay in the Heisenberg frame
+        modified = rho_mod(rho, clock, t0, h_system, t_grid, "heisenberg")
+        pinched = rho_event(rho, family, clock, t0, h_system, t_grid, "heisenberg")
         d, probs = distinguishability(modified, pinched), None
     eps = math.exp(-alpha * n_particles)
     occurred = d < eps

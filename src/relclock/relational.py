@@ -34,6 +34,7 @@ from .states import (
     ProjectorFamily,
     ValidationError,
     _density_states,
+    _freeze,
     _StackValidationError,
     hermitize,
     spectral_norm,
@@ -53,13 +54,12 @@ def _energy_basis_stack(
     h: Observable,
     times: np.ndarray,
     db: np.ndarray | None = None,
-    sign: int = 1,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Schroedinger evolution of ``op`` under ``h`` over a stack of times, with
-    energy off-diagonals damped by exp(-sign omega_mn^2 db):
+    energy off-diagonals damped by exp(-omega_mn^2 db):
 
-        v (tilde_mn exp(-i omega_mn t - sign omega_mn^2 db)) v^dagger
+        v (tilde_mn exp(-i omega_mn t - omega_mn^2 db)) v^dagger
 
     with tilde the energy-basis matrix of ``op``.  Every map here that commutes
     with ad_H (unitary evolution, the dephasing master equation, a mixture
@@ -74,7 +74,7 @@ def _energy_basis_stack(
     omega = lam[:, None] - lam[None, :]
     exponent = -1j * times[:, None, None] * omega
     if db is not None:
-        exponent -= sign * db[:, None, None] * omega**2
+        exponent -= db[:, None, None] * omega**2
     factor = np.exp(exponent, out=exponent)
     if weights is not None:
         factor = np.tensordot(weights, factor, axes=1)
@@ -381,8 +381,7 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float, copy=True)
-        t.flags.writeable = False
+        t = _freeze(self.times, float)
         if np.any(np.diff(t) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
         if t.size != len(self.states):
@@ -451,14 +450,10 @@ class EmpiricalSpreadRate:
     b_values: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.t_values, dtype=float)
-        b = np.array(self.b_values, dtype=float)
+        t = np.asarray(self.t_values, dtype=float)
         order = np.argsort(t)
-        t, b = t[order], b[order]
-        t.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "t_values", t)
-        object.__setattr__(self, "b_values", b)
+        object.__setattr__(self, "t_values", _freeze(t[order], None))
+        object.__setattr__(self, "b_values", _freeze(np.asarray(self.b_values, dtype=float)[order], None))
 
     @classmethod
     def from_densities(cls, densities: Sequence[ClockDensity]) -> "EmpiricalSpreadRate":
@@ -547,8 +542,8 @@ def master_evolve(
         steps.append(n_steps)
     times = np.array([0.0] + [k * dt for k in steps])
     b0 = setup.accumulated_b(0.0)
-    db = np.array([setup.accumulated_b(t) - b0 for t in times])
-    stack = _energy_basis_stack(rho0.matrix, setup.h_system, times, db, setup.sign_convention)
+    db = np.array([setup.sign_convention * (setup.accumulated_b(t) - b0) for t in times])
+    stack = _energy_basis_stack(rho0.matrix, setup.h_system, times, db)
     try:
         states = [rho0] + _density_states(stack[1:], rho0.space)
     except _StackValidationError as exc:

@@ -32,8 +32,9 @@ class ValidationError(ValueError):
     """An operator failed a structural invariant (hermiticity, trace, ...)."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True, order="C")
+def _freeze(a, dtype=complex) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``; ``dtype=None`` keeps its dtype."""
+    out = np.array(a, dtype=dtype, copy=True, order="C")
     out.flags.writeable = False
     return out
 
@@ -309,36 +310,27 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian operator with a cached spectral decomposition.
+    """Hermitian operator with a cached spectral decomposition from ``eigh``.
 
     ``eigenvalues`` are ascending; ``eigenvectors`` holds orthonormal
-    eigenvectors as columns.  A precomputed decomposition may be supplied
-    (used when the spectrum is known analytically, e.g. spectral grid
-    operators); it is verified against the same tolerances.
+    eigenvectors as columns.
     """
 
     matrix: np.ndarray
     space: HilbertSpace
-    eigenvalues: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    eigenvectors: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         _check_square(m, self.space.total_dim, "observable")
         m = hermitize(m, TOL_HERM)
         object.__setattr__(self, "matrix", _freeze(m))
-        if self.eigenvalues is None or self.eigenvectors is None:
-            w, v = np.linalg.eigh(self.matrix)
-        else:
-            w = np.asarray(self.eigenvalues, dtype=float).ravel()
-            v = np.asarray(self.eigenvectors, dtype=complex)
-            order = np.argsort(w, kind="stable")
-            w, v = w[order], v[:, order]
-        d = v.shape[0]
-        unitary_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
+        w, v = np.linalg.eigh(self.matrix)
+        unitary_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
         if unitary_defect > TOL_UNITARY:
             raise ValidationError(f"eigenvector matrix not unitary: defect {unitary_defect:.3e}")
-        object.__setattr__(self, "eigenvalues", _freeze_real(w))
+        object.__setattr__(self, "eigenvalues", _freeze(w, float))
         object.__setattr__(self, "eigenvectors", _freeze(v))
 
     @classmethod
@@ -356,12 +348,6 @@ class Observable:
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues))) if self.dim else 0.0
-
-
-def _freeze_real(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import relclock
+import relclock as rc
 from relclock import cli
 
 # Directory holding the relclock package this process imported (src/ when run
 # uninstalled). Put first on the child's PYTHONPATH so `python -m relclock.cli`
 # runs the same source tree, whatever the working directory or install mode.
-PACKAGE_ROOT = str(Path(relclock.__file__).resolve().parents[1])
+PACKAGE_ROOT = str(Path(rc.__file__).resolve().parents[1])
 
 
 def child_env(**overrides):
@@ -218,6 +218,37 @@ class TestValidate:
             cli.run_config(cfg, tmp_path)
         assert not any(tmp_path.iterdir())
 
+    # Python's json reads NaN and Infinity, which no runner can use
+    @pytest.mark.parametrize(
+        "value, mutations",
+        [
+            (math.nan, [
+                ("qubit_decay", lambda c, v: c["queries"][1].update(omega=v),
+                 "query 1 (decay-scan) omega must be a number"),
+                ("detect_event", lambda c, v: c["queries"][0].update(alpha=v),
+                 "query 0 (detect-event) alpha must be a number"),
+            ]),
+            (math.inf, [
+                ("qubit_decay", lambda c, v: c["queries"][1].update(T_values=[1.0, 2.0, v]),
+                 "query 1 (decay-scan) needs T_values, a nonempty list of numbers"),
+                ("physical_evolve", lambda c, v: c["clock"].update(tau=v), "clock.tau must be > 0"),
+            ]),
+        ],
+        ids=["nan", "infinity"],
+    )
+    def test_non_finite_numbers_are_violations(self, tmp_path, capsys, value, mutations):
+        for preset, mutate, message in mutations:
+            cfg = load_preset(preset)
+            mutate(cfg, value)
+            path = tmp_path / f"{preset}.json"
+            path.write_text(json.dumps(cfg))
+            assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+            assert cli.main(["validate", str(path)]) == 1
+            assert message in json.loads(capsys.readouterr().out)["violations"]
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert message in json.loads(capsys.readouterr().out)["message"]
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("system", [{"name": "three-spin"}, FOUR_LEVEL], ids=["three-spin", "four-level"])
     def test_identity_projector_on_any_system_dimension(self, tmp_path, system):
         cfg = load_preset("conditional_identity")
@@ -286,6 +317,60 @@ class TestMutatedPresets:
                 cli.run_config(cfg, Path(out))
             except (cli.QueryError, cli.ConfigError):
                 pass
+
+
+def embedded(matrix):
+    m = np.asarray(matrix, dtype=complex)
+    return {"dims": [m.shape[0]], "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+PSI = np.array([0.6, 0.8j])
+
+
+class TestBuilders:
+    """Builder branches that no bundled preset reaches, each run in-process
+    against the library call on the same inputs."""
+
+    @pytest.mark.parametrize(
+        "system, projector, want",
+        [
+            ("qubit-sz", "up", np.diag([1.0, 0.0])),
+            ("qubit-sz", "minus", np.array([[0.5, -0.5], [-0.5, 0.5]])),
+            ("qubit-sz", {"interval": [0.5, 1.5], "observable": embedded(rc.SIGMA_X)},
+             rc.interval_projector(rc.Observable.from_matrix(rc.SIGMA_X), 0.5, 1.5)),
+            ("qubit-sz", embedded(np.outer(PSI, PSI.conj())), np.outer(PSI, PSI.conj())),
+            ("qubit-sx", "up", np.diag([1.0, 0.0])),
+        ],
+        ids=["named-up", "named-minus", "interval", "embedded-matrix", "qubit-sx"],
+    )
+    def test_conditional_prob_projector_forms(self, tmp_path, system, projector, want):
+        cfg = load_preset("conditional_identity")
+        cfg["system"] = {"name": system}
+        cfg["queries"][0]["projector"] = projector
+        assert cli.validate_config(cfg) == []
+        (path,) = cli.run_config(cfg, tmp_path)
+        value = float(path.read_text().splitlines()[1].split(",")[1])
+        # the presets' default initial states: plus for qubit-sz, up for qubit-sx
+        h, init = (rc.SIGMA_Z, [[0.5, 0.5], [0.5, 0.5]]) if system == "qubit-sz" else (rc.SIGMA_X, [[1, 0], [0, 0]])
+        clock = rc.build_ideal_clock(48, tau=4.0)
+        rho = clock.rho0.tensor(rc.DensityOperator.from_matrix(init, (2,)))
+        assert value == rc.conditional_probability(rho, want, clock, 1.0, h_system=rc.Observable.from_matrix(h))
+
+    def test_harmonic_environment(self, tmp_path):
+        cfg = load_preset("zurek_n8")
+        cfg["environment"] = {"n_spins": 4, "mode": "harmonic", "coupling": 0.7}
+        cfg["queries"][0].update(t_max=5.0, n_points=41)
+        (path,) = cli.run_config(cfg, tmp_path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,re_z,im_z,abs_z,re_coherence,im_coherence,oracle_residual"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        env = rc.make_harmonic_model(4, g=0.7)
+        t = np.linspace(0.0, 5.0, 41)
+        z = rc.interference_factor(env, t)
+        exact = rc.exact_reduced_coherence(env, t)
+        assert np.array_equal(table[:, 0], t)
+        assert np.array_equal(table[:, 1], z.real) and np.array_equal(table[:, 2], z.imag)
+        assert np.array_equal(table[:, 4], exact.real) and np.array_equal(table[:, 5], exact.imag)
 
 
 class TestRun:

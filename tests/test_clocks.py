@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -234,3 +235,36 @@ class TestGaussianDensity:
         grid = np.linspace(0.0, 6.0, 601)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             rc.gaussian_clock_density(100.0, grid, width=0.1)
+
+
+
+IDEAL16 = rc.build_ideal_clock(16, tau=4.0)
+FREE_ARGS = dict(mass=30.0, sigma0=0.4, delta_c=0.35, tau=4.0)
+NAN_CASES = {
+    "detect_event-alpha": (
+        lambda: rc.detect_event(
+            IDEAL16.rho0.tensor(rc.DensityOperator.maximally_mixed((2,))),
+            rc.projector_family(rc.Observable.from_matrix(rc.SIGMA_Z)), IDEAL16, 1.0, 10, alpha=math.nan,
+        ),
+        "alpha must be positive",
+    ),
+    "AccuracyLaw-t_planck": (lambda: rc.AccuracyLaw(exponent_a=0.5, t_planck=math.nan), "t_planck must be positive"),
+    "ClockModel-delta_c": (lambda: dataclasses.replace(IDEAL16, delta_c=math.nan), "half-width must be positive"),
+    "ClockModel-tau": (lambda: dataclasses.replace(IDEAL16, tau=math.nan), "tau must be positive"),
+    **{
+        f"build_free_particle_clock-{key}": (
+            lambda key=key: rc.build_free_particle_clock(128, **{**FREE_ARGS, key: math.nan}),
+            f"{key}.* must be positive",
+        )
+        for key in FREE_ARGS
+    },
+    "build_ideal_clock-tau": (lambda: rc.build_ideal_clock(16, tau=math.nan), "tau must be positive"),
+}
+
+
+# NaN fails every comparison, so a guard written x <= 0 lets it through
+@pytest.mark.parametrize("case", list(NAN_CASES))
+def test_nan_parameters_are_rejected(case):
+    call, message = NAN_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -115,6 +115,18 @@ class TestRhoEvent:
         with pytest.raises(rc.ValidationError, match="complete"):
             rc.rho_event(rho, fam, ideal_clock, 10 * ideal_clock.dx)
 
+    @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
+    def test_picture_is_checked_before_the_sandwich(self, ideal_clock, monkeypatch, conditioned):
+        def sandwich(*args):
+            raise AssertionError("the window sandwich ran before the picture was checked")
+
+        monkeypatch.setattr(rc.relational, "_sandwich_state", sandwich)
+        monkeypatch.setattr(rc.events, "_sandwich_state", sandwich)
+        rho = ideal_clock.rho0.tensor(rc.DensityOperator.maximally_mixed((2,)))
+        extra = (z_family(),) if conditioned == "rho_event" else ()
+        with pytest.raises(ValueError, match="unknown picture 'bogus'"):
+            getattr(rc, conditioned)(rho, *extra, ideal_clock, 10 * ideal_clock.dx, picture="bogus")
+
     def test_pinch_is_idempotent(self, rng):
         rho = oracles.random_density(rng, 2)
         fam = z_family()
@@ -347,6 +359,29 @@ class TestFusedDetection:
         want = rc.conditional_probabilities(rho, family, free_clock, 1.5, h)
         np.testing.assert_allclose(probs, want, rtol=0.0, atol=1e-12)
         assert rc.detect_event(rho, family, free_clock, 1.5, 10, 0.3, h).distinguishability == d
+
+
+class TestDenseDetection:
+    """``detect_event`` on a dense input compares the two conditioned states."""
+
+    def test_matches_the_fused_path_and_the_schrodinger_frame(self, monkeypatch):
+        clock = rc.build_ideal_clock(32, tau=4.0)
+        twin = clock.rho0.tensor(rc.reduced_system_state(rc.make_incommensurate_model(10), 7.7))
+        rho = rc.DensityOperator.from_matrix(twin.matrix, twin.space)
+        family = fixtures.pointer_family_z()
+        fused = rc.detect_event(twin, family, clock, 2.0, n_particles=10, alpha=0.3)
+        # the dense input takes neither the fused pass nor a frame rotation
+        monkeypatch.setattr(rc.events, "_event_gap", None)
+        monkeypatch.setattr(rc.events, "_schrodinger_frame", None)
+        dense = rc.detect_event(rho, family, clock, 2.0, n_particles=10, alpha=0.3)
+        monkeypatch.undo()
+        assert dense.event_occurred and fused.event_occurred
+        assert abs(dense.distinguishability - fused.distinguishability) <= 1e-12
+        assert dense.outcome_probabilities.keys() == fused.outcome_probabilities.keys()
+        for label, p in dense.outcome_probabilities.items():
+            assert abs(p - fused.outcome_probabilities[label]) <= 1e-12
+        schrodinger = rc.distinguishability(rc.rho_mod(rho, clock, 2.0), rc.rho_event(rho, family, clock, 2.0))
+        assert abs(dense.distinguishability - schrodinger) <= 1e-12
 
 
 class TestPropertyInclusion:
