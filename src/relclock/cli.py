@@ -326,8 +326,13 @@ def _sections_read(q: dict) -> list[str]:
 # -- validation -----------------------------------------------------------------
 
 def _is_number(x) -> bool:
-    # json parses NaN and Infinity; an int is finite (math.isfinite overflows beyond the float range)
-    return not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and math.isfinite(x))
+    # json parses NaN, Infinity and integers beyond the float range: a number converts to a finite float
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _is_integer(x) -> bool:

@@ -32,8 +32,8 @@ from .states import (
     Observable,
     ProjectorFamily,
     ValidationError,
+    _norm_exceeds,
     evolution_operator,
-    spectral_norm,
 )
 
 
@@ -170,10 +170,10 @@ def property_included(candidate: ProjectorFamily, essential: ProjectorFamily) ->
         for idx, pb in enumerate(candidate.projectors):
             prod = pb @ pa
             if idx == m:
-                if spectral_norm(prod - pa) > TOL_PROJ:
+                if _norm_exceeds(prod - pa, TOL_PROJ):
                     return False
             else:
-                if spectral_norm(prod) > TOL_PROJ:
+                if _norm_exceeds(prod, TOL_PROJ):
                     return False
     return True
 

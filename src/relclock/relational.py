@@ -35,9 +35,9 @@ from .states import (
     ValidationError,
     _density_states,
     _freeze,
+    _norm_exceeds,
     _StackValidationError,
     hermitize,
-    spectral_norm,
 )
 
 
@@ -118,7 +118,7 @@ def _system_projector(q_proj: np.ndarray, space: HilbertSpace, n_clock: int) -> 
             f"projector shape {q.shape} matches neither the system ({d_sys}) nor the full space"
         )
     b = hermitize(b, 1e-8)
-    if spectral_norm(b @ b - b) > 1e-8:
+    if _norm_exceeds(b @ b - b, 1e-8):
         raise ValidationError("supplied operator is not a projector")
     return b
 
@@ -133,55 +133,75 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
 
 
 def _window_dft(n: int, mask: np.ndarray) -> np.ndarray:
-    """fft(E) for the isometry E onto the grid nodes j in ``mask``: the r DFT
-    columns exp(-2 pi i m j / n), built in O(n r) memory.  m j is reduced mod n
+    """fft(E)^T for the isometry E onto the grid nodes j in ``mask``: the r DFT
+    rows exp(-2 pi i j m / n), built in O(n r) memory.  j m is reduced mod n
     in integers, so every phase is taken at an angle below 2 pi."""
     nodes = np.flatnonzero(mask)
-    return np.exp((-2j * np.pi / n) * (np.outer(np.arange(n), nodes) % n))
+    return np.exp((-2j * np.pi / n) * (np.outer(nodes, np.arange(n)) % n))
 
 
 def _window_cores(
-    rho: DensityOperator, clock: ClockModel, mask: np.ndarray, t_grid: np.ndarray, form: str = "core"
+    rho: DensityOperator,
+    clock: ClockModel,
+    mask: np.ndarray,
+    t_grid: np.ndarray,
+    form: str = "core",
+    basis: np.ndarray | None = None,
 ):
     """Yield ``(sl, e, out)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
 
-    With E the isometry onto the r grid nodes in ``mask``, ``e[t] = e^{iH_c t} E``
-    (shape (c, n, r)) factors the Heisenberg window as W(t) = e[t] e[t]^dagger;
-    h_clock is diagonal in the Fourier basis, so ``e`` is a batch of FFTs.
+    With E the isometry onto the r grid nodes in ``mask``, ``e[t]`` is the
+    transpose of e^{iH_c t} E (shape (c, r, n)) and factors the Heisenberg
+    window as W(t) = e[t]^T conj(e[t]); h_clock is diagonal in the Fourier
+    basis, so ``e`` is a batch of FFTs, each along the last, contiguous axis.
     ``out`` depends on ``form``:
 
     - ``"core"``: core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I), with the entry
       [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where
       the Heisenberg-evolved full-space window takes (n d)^2;
     - ``"traced"``: the d x d marginal Tr_r core[t];
-    - ``"rows"`` (Gram-factored states only): (W(t) (x) I) F, of shape (c, n, d k).
+    - ``"rows"`` (Gram-factored states only): (W(t) (x) I) F with its rows
+      (i, a) and columns j at axes (a, j, i), of shape (c, d k, n).
+
+    A unitary ``basis`` V on the system factor runs all of this on
+    (I (x) V^dagger) rho (I (x) V): the state is rotated once, not per time.
 
     The state enters as a product rho = A B, and core[t] = L(t) R(t) with
     L(t) = (e[t]^dagger (x) I) A and R(t) = B (e[t] (x) I).  A dense state has
     A = rho and B = I: rho (e[t] (x) I) is one matmul with the dense rho, at
     O(n^2 r d^2) per time.  A Gram factor F has A = F and B = F^dagger, so
-    R(t) = L(t)^dagger.  L(t) transforms the narrower operand: with d k <= r it
-    is the window rows of F's clock index evolved by one FFT per time, at
-    O(k d n log n), and needs no ``e`` for a marginal or rows (``e`` is then
-    None); otherwise it is e[t]^dagger F, one matmul after evolving e's r columns.
+    R(t) = L(t)^dagger.  L(t), held as (c, d k, r), transforms the narrower
+    operand: with d k <= r it is the window columns of F^T's clock index
+    evolved by one FFT per time, at O(k d n log n), and needs no ``e`` for a
+    marginal or rows (``e`` is then None); otherwise it is F^T conj(e[t])^T,
+    one matmul after evolving e's r rows.
     """
     n = clock.n
     d = rho.dim // n
     r = int(np.count_nonzero(mask))
     f = rho.factor
     if f is None:
+        a = rho.matrix
+        if basis is not None:
+            a = (a.reshape(n * d * n, d) @ basis).reshape(n, d, n * d)
+            a = basis.conj().T @ a
         # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
-        rho_j = rho.matrix.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
+        rho_j = a.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
         per_time = n * d * d * r
         with_e = True
     else:
         k = f.shape[1]
-        f = f.reshape(n, d * k)
+        f = f.reshape(n, d, k)
+        if basis is not None:
+            f = basis.conj().T @ f
+        # F^T, rows (a, j) and the clock index last, as a view of F
+        f = f.reshape(n, d * k).T
         fft_rows = d * k <= r
         if fft_rows:
-            f_hat = np.fft.fft(f, axis=0)
+            f_hat = np.ascontiguousarray(np.fft.fft(f))
         with_e = form == "core" or not fft_rows
-        per_time = n * d * k + (n * r if with_e else 0) + ((r * d) ** 2 if form == "core" else 0)
+        per_time = n * d * k + (n * r if with_e else 0)
+        per_time += (r * d) ** 2 if form == "core" else d * d if form == "traced" else 0
     if with_e:
         e0 = _window_dft(n, mask)
     step = max(1, _CHUNK_ENTRIES // max(1, per_time))
@@ -190,34 +210,34 @@ def _window_cores(
         c = t.size
         sl = slice(start, start + c)
         phase = np.exp(1j * np.outer(t, clock.dispersion))
-        e = np.fft.ifft(phase[:, :, None] * e0, axis=1) if with_e else None
+        e = np.fft.ifft(phase[:, None, :] * e0) if with_e else None
         if f is None:
-            y = rho_j @ e.transpose(1, 0, 2).reshape(n, c * r)
+            y = rho_j @ e.transpose(2, 0, 1).reshape(n, c * r)
             y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
-            core = (e.conj().transpose(0, 2, 1) @ y).reshape(c, r, d, d, r)
+            core = (e.conj() @ y).reshape(c, r, d, d, r)
             yield sl, e, np.einsum("tkabk->tab", core) if form == "traced" else core
             continue
         if fft_rows:
             # e^{-iH_c t} on the clock index of F
-            g = np.fft.ifft(phase.conj()[:, :, None] * f_hat, axis=1)
+            g = np.fft.ifft(phase.conj()[:, None, :] * f_hat)
             if form == "rows":
-                # back from the window rows: e^{iH_c t} E E^dagger e^{-iH_c t} F
-                g[:, ~mask] = 0.0
-                g = np.fft.fft(g, axis=1)
-                g *= phase[:, :, None]
-                yield sl, e, np.fft.ifft(g, axis=1)
+                # back from the window columns: e^{iH_c t} E E^dagger e^{-iH_c t} F
+                g[:, :, ~mask] = 0.0
+                g = np.fft.fft(g)
+                g *= phase[:, None, :]
+                yield sl, e, np.fft.ifft(g)
                 continue
-            left = g[:, mask]
+            left = g[:, :, mask]
         else:
-            left = e.conj().transpose(0, 2, 1) @ f
+            left = f @ e.conj().transpose(0, 2, 1)
             if form == "rows":
-                yield sl, e, e @ left
+                yield sl, e, left @ e
                 continue
-        left = left.reshape(c, r, d, k)
         if form == "traced":
-            yield sl, e, np.einsum("tkaj,tkbj->tab", left, left.conj())
+            left = left.reshape(c, d, k * r)
+            yield sl, e, left @ left.conj().transpose(0, 2, 1)
         else:
-            flat = left.reshape(c, r * d, k)
+            flat = left.reshape(c, d, k, r).transpose(0, 3, 1, 2).reshape(c, r * d, k)
             core = flat @ flat.conj().transpose(0, 2, 1)
             yield sl, e, core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
 
@@ -241,14 +261,13 @@ def _window_factor(
     s_t *= np.sqrt(trapezoid_weights(t_grid))[:, None, None, None]
     y = np.empty((n, d, nt, len(sys_ops), k), dtype=complex)
     if mask is None:
-        chunks = [(slice(0, nt), None, np.broadcast_to(rho.factor, (nt, n * d, k)))]
+        chunks = [(slice(0, nt), None, np.broadcast_to(rho.factor.reshape(n, d * k).T, (nt, d * k, n)))]
     else:
         chunks = _window_cores(rho, clock, mask, t_grid, "rows")
     for sl, _, x in chunks:
-        # one (|S| d, d) x (d, n k) product per time
-        x = x.reshape(-1, n, d, k).transpose(0, 2, 1, 3).reshape(-1, d, n * k)
-        sx = (s_t[sl].reshape(-1, len(sys_ops) * d, d) @ x).reshape(-1, len(sys_ops), d, n, k)
-        y[:, :, sl] = sx.transpose(3, 2, 0, 1, 4)
+        # one (|S| d, d) x (d, k n) product per time
+        sx = s_t[sl].reshape(-1, len(sys_ops) * d, d) @ x.reshape(-1, d, k * n)
+        y[:, :, sl] = sx.reshape(-1, len(sys_ops), d, k, n).transpose(4, 2, 0, 1, 3)
     return y.reshape(n * d, -1)
 
 
@@ -281,11 +300,11 @@ def _window_sandwich(
         return out.reshape(n * d, n * d)
     acc = np.zeros((n * d * d, n), dtype=complex)
     for sl, e, core in _window_cores(rho, clock, mask, t_grid):
-        c, r = e.shape[0], e.shape[2]
+        c, r = e.shape[:2]
         g = chan[sl] @ core.transpose(0, 2, 3, 1, 4).reshape(c, d * d, r * r)
         g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r, d * d * r)
-        x = (e @ g).reshape(c, n, d * d, r).transpose(1, 2, 0, 3).reshape(n * d * d, c * r)
-        acc += x @ e.conj().transpose(0, 2, 1).reshape(c * r, n)
+        x = (e.transpose(0, 2, 1) @ g).reshape(c, n, d * d, r).transpose(1, 2, 0, 3).reshape(n * d * d, c * r)
+        acc += x @ e.conj().reshape(c * r, n)
     return acc.reshape(n, d, d, n).transpose(0, 1, 3, 2).reshape(n * d, n * d)
 
 
@@ -337,7 +356,15 @@ def conditional_probabilities(
 
     Because the window W(t) is idempotent and acts on the other factor,
     Tr((I (x) Q(t)) (W(t) (x) I) rho (W(t) (x) I)) = Tr(Q(t) M(t)) with
-    M(t) = Tr_clock((W(t) (x) I) rho), a d x d matrix per time.
+    M(t) = Tr_clock((W(t) (x) I) rho), a d x d matrix per time.  In the
+    eigenbasis V of h (eigenvalues lambda), Q(t) = V u_t^* Q~ u_t V^dagger
+    with u_t = diag(e^{-i lambda t}) and Q~ = V^dagger Q V, so the whole
+    quadrature is one d x d kernel
+
+        K = sum_t w_t u_t M~(t) u_t^*,   M~(t) = V^dagger M(t) V,
+
+    built from the state rotated once into that basis, and
+    p = Tr(Q~ K) / Tr K.  Without h, V = I and lambda = 0.
     """
     if isinstance(projectors, ProjectorFamily):
         projectors = projectors.projectors
@@ -345,17 +372,24 @@ def conditional_probabilities(
     sys_projs = [_system_projector(q, rho.space, n_cl) for q in projectors]
     t_grid = clock._t_grid(t_grid)
     w = trapezoid_weights(t_grid)
+    if h_system is None:
+        v, lam = np.eye(d_sys, dtype=complex), np.zeros(d_sys)
+    else:
+        v, lam = h_system.eigenvectors, h_system.eigenvalues
 
-    marginal = np.empty((t_grid.size, d_sys, d_sys), dtype=complex)
-    for sl, _, m in _window_cores(rho, clock, clock._window_mask(t0), t_grid, "traced"):
-        marginal[sl] = m
-    den = float(np.sum(w * np.einsum("taa->t", marginal).real))
+    kernel = np.zeros((d_sys, d_sys), dtype=complex)
+    for sl, _, m in _window_cores(rho, clock, clock._window_mask(t0), t_grid, "traced", v):
+        # u_t as a d-vector: d exponentials per time, not d^2
+        u = np.exp(-1j * np.outer(t_grid[sl], lam))
+        m *= u.conj()[:, None, :]
+        m *= (w[sl, None] * u)[:, :, None]
+        kernel += m.sum(axis=0)
+    den = float(kernel.trace().real)
     if den <= 0.0:
         raise UnreachableReadingError(f"clock never reads {t0} on this state: normalization {den}")
-    values = np.empty(len(sys_projs), dtype=float)
-    for i, b in enumerate(sys_projs):
-        b_t = heisenberg_stack(b, h_system, t_grid)
-        values[i] = float(np.sum(w * np.einsum("tba,tab->t", b_t, marginal).real)) / den
+    # Tr(Q~ K) = Tr(Q V K V^dagger): one rotation back for the whole family
+    kernel = v @ kernel @ v.conj().T
+    values = np.einsum("iab,ba->i", np.array(sys_projs), kernel).real / den
     if np.any(values < -1e-8) or np.any(values > 1.0 + 1e-8):
         raise ArithmeticError(f"conditional probability left [0, 1]: {values}")
     return np.clip(values, 0.0, 1.0)
@@ -603,7 +637,7 @@ def reduce_state(
     present = [_system_projector(e.q_proj, rho.space, n_cl) for e in events if e.q_proj is not None]
     for i in range(len(present)):
         for j in range(i + 1, len(present)):
-            if spectral_norm(present[i] @ present[j] - present[j] @ present[i]) > 1e-9:
+            if _norm_exceeds(present[i] @ present[j] - present[j] @ present[i], 1e-9):
                 raise ValidationError("reduction projectors do not commute")
 
     # factors taken at the same t multiply under one unitary, so the event list

@@ -367,16 +367,16 @@ class ProjectorFamily:
         projs = []
         for p in self.projectors:
             p = hermitize(np.asarray(p, dtype=complex), TOL_PROJ)
-            if spectral_norm(p @ p - p) > TOL_PROJ:
+            if _norm_exceeds(p @ p - p, TOL_PROJ):
                 raise ValidationError("family member is not idempotent")
             projs.append(_freeze(p))
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
-                if spectral_norm(projs[i] @ projs[j]) > TOL_PROJ:
+                if _norm_exceeds(projs[i] @ projs[j], TOL_PROJ):
                     raise ValidationError(f"projectors {i} and {j} are not orthogonal")
         if self.complete and projs:
             total = sum(projs)
-            if spectral_norm(total - np.eye(total.shape[0])) > TOL_PROJ:
+            if _norm_exceeds(total - np.eye(total.shape[0]), TOL_PROJ):
                 raise ValidationError("family flagged complete but does not resolve the identity")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "projectors", tuple(projs))
@@ -396,6 +396,12 @@ def spectral_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def _norm_exceeds(m: np.ndarray, tol: float) -> bool:
+    """``spectral_norm(m) > tol``, with the SVD run only when the Frobenius
+    norm, an upper bound, does not already settle it (NaN still reaches it)."""
+    return not np.linalg.norm(m) <= tol and spectral_norm(m) > tol
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:

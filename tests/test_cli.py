@@ -131,6 +131,26 @@ class TestValidate:
         cfg["seed"] = 3.0
         assert cli.validate_config(cfg) == []
 
+    # json reads integers of any size; one beyond the float range is no number
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda c, v: c.update(seed=v), "seed must be a nonnegative integer"),
+            (lambda c, v: c["queries"][0].update(n_points=v), "query 0 (zurek) n_points must be an integer"),
+            (lambda c, v: c["queries"][0].update(t_max=v), "query 0 (zurek) t_max must be a number"),
+        ],
+        ids=["seed", "n_points", "t_max"],
+    )
+    def test_integers_beyond_the_float_range_are_violations(self, tmp_path, mutate, message):
+        cfg = load_preset("zurek_n8")
+        mutate(cfg, 10**400)
+        assert message in cli.validate_config(cfg)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli("validate", str(path))
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert message in json.loads(res.stdout)["violations"]
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = cli.preset_path("conditional_identity")
         res = run_cli("validate", str(good))
@@ -282,10 +302,11 @@ DELETE = object()
 
 # one of each JSON type, plus strings that name real choices so that mutants
 # get past the first checks; numbers are never larger than the value replaced
-# (below), since validate sets no size limits yet
+# (below), since validate sets no size limits yet.  Integers beyond the float
+# range, which json reads, are no numbers to validate and are drawn anywhere.
 REPLACEMENTS = [
     DELETE, None, "", "x", "ideal", "harmonic", "three-spin", "identity", "dephased", "zurek",
-    [], [0.5], {}, {"kind": "zurek"}, True, False, math.nan, 0, -1, 0.5,
+    [], [0.5], {}, {"kind": "zurek"}, True, False, math.nan, 0, -1, 0.5, 10**400, -10**400,
 ]
 
 
@@ -371,6 +392,31 @@ class TestBuilders:
         assert np.array_equal(table[:, 0], t)
         assert np.array_equal(table[:, 1], z.real) and np.array_equal(table[:, 2], z.imag)
         assert np.array_equal(table[:, 4], exact.real) and np.array_equal(table[:, 5], exact.imag)
+
+
+# Modules a process gains from importing relclock and from validating a preset,
+# by top-level package, minus the standard library; run in a fresh interpreter.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import relclock
+after_import = set(sys.modules)
+from relclock import cli
+assert cli.main(["validate", "conditional_identity"]) == 0
+def outside(names):
+    return sorted({m.split(".")[0] for m in names} - set(sys.stdlib_module_names))
+print(json.dumps([outside(after_import - before), outside(set(sys.modules) - before)]))
+"""
+
+
+class TestImportFootprint:
+    def test_import_and_validate_load_only_numpy(self):
+        # set-up time is a gated benchmark metric: scipy and other packages stay test-only
+        res = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=child_env())
+        assert res.returncode == 0, res.stdout + res.stderr
+        on_import, on_validate = json.loads(res.stdout.splitlines()[-1])
+        assert on_import == ["numpy", "relclock"]
+        assert on_validate == ["numpy", "relclock"]
 
 
 class TestRun:

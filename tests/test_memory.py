@@ -5,12 +5,15 @@ dense (nt, n d, n d) complex stack takes 1.7 GB.  The factored window kernel
 builds no full-space stack, so each call must stay below ``LIMIT_MB``.  A pure
 state kept as a Gram factor goes further: at n = 16384 its dense matrix alone
 would take 16 GiB, while its conditioned state stays a factor of nt columns
-and ``detect_event`` builds no state at all.  The reading densities of several
-readings come from one clock evolution walked over t-chunks.  No timing is asserted.  Each test also checks its result
-through an independent path, since at these sizes the kernel walks the time
-grid in several chunks.  The spin-register oracle walks its times in chunks
-of about 2^14 register entries, so its bound, ``ORACLE_LIMIT_MB``, is far
-tighter.
+and ``detect_event`` builds no state at all.  A probability on a large
+system (the qubit and an 8-spin register, d = 512) is one d x d kernel in the
+Hamiltonian's eigenbasis, where a Heisenberg stack of the projector would take
+416 MiB.  The reading densities of several readings come from one clock
+evolution walked over t-chunks.  No timing is asserted.  Each test also
+checks its result through an independent path, since at these sizes the
+kernel walks the time grid in several chunks.  The spin-register oracle walks
+its times in chunks of about 2^14 register entries, so its bound,
+``ORACLE_LIMIT_MB``, is far tighter.
 """
 
 import tracemalloc
@@ -136,6 +139,24 @@ def test_five_reading_densities_on_a_16384_node_clock():
     psi_t = clock.evolve_state(t_grid[cols])
     raw = np.sum(np.abs(psi_t[clock._window_mask(t_values[1]), :]) ** 2, axis=0)
     np.testing.assert_allclose(densities[1].density[cols] * densities[1].weight, raw, rtol=1e-12, atol=1e-300)
+
+
+def test_register_conditional_probability_peak():
+    # clock (x) qubit (x) 8-spin register, h = sigma_z (x) sum_k g_k sigma_z^(k)
+    clock = rc.build_free_particle_clock(256, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+    model = rc.make_incommensurate_model(8)
+    h = rc.Observable.from_matrix(np.diag(np.kron([1.0, -1.0], model.branch_energies())))
+    register = rc.DensityOperator.from_vector(model.env_amplitudes(), (2**8,))
+    rho = clock.rho0.tensor(model.system_init.tensor(register))
+    q = np.kron(PLUS, np.eye(2**8))
+    p, peak = traced_peak_mb(lambda: rc.conditional_probability(rho, q, clock, T0, h_system=h))
+    assert peak <= LIMIT_MB
+    # product input: the reading-density average of P(plus at t) = 1/2 + Re rho_10(t),
+    # with rho_10(t) from the gate-by-gate register oracle
+    density = rc.clock_density(clock, T0)
+    weights = density._weights()
+    coherence = rc.exact_reduced_coherence(model, density.t_grid)
+    assert p == pytest.approx(float(np.sum(weights * (0.5 + coherence.real)) / weights.sum()), abs=1e-9)
 
 
 def test_register_oracle_on_thirteen_spins():

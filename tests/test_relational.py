@@ -85,6 +85,69 @@ class TestConditionalProbability:
             assert value == pytest.approx(want, abs=1e-9)
 
 
+class TestEnergyBasisKernel:
+    """The probability quadrature runs in h's eigenbasis.  sigma_z, which most
+    tests use, is diagonal there, so it would hide a wrong rotation: these
+    tests take a non-diagonal h with a degenerate spectrum, and no h at all."""
+
+    T0 = 1.0
+
+    @pytest.fixture(scope="class")
+    def clock(self):
+        # 40 nodes, 5 in the window: a factor of d k = 4 columns takes the
+        # kernel's FFT route, one of 8 columns its matmul route
+        clock = rc.build_free_particle_clock(40, mass=30.0, sigma0=0.5, delta_c=0.5, tau=1.5)
+        assert np.count_nonzero(clock._window_mask(self.T0)) == 5
+        return clock
+
+    @staticmethod
+    def state(rng, clock, rank, form):
+        cols = [oracles.boosted_packet_vector(rng, clock.psi0, clock.x, 4) for _ in range(rank)]
+        f = np.stack(cols, axis=1)
+        f /= np.linalg.norm(f)
+        if form == "dense":
+            return rc.DensityOperator.from_matrix(f @ f.conj().T, (clock.n, 4))
+        return rc.DensityOperator.from_factor(f, (clock.n, 4))
+
+    @staticmethod
+    def degenerate_h(rng):
+        u = oracles.random_unitary(rng, 4)
+        return (u * np.array([1.0, 1.0, -1.0, 0.0])) @ u.conj().T
+
+    @staticmethod
+    def family(rng, members=2):
+        u = oracles.random_unitary(rng, 4)
+        first = u[:, : 5 - members] @ u[:, : 5 - members].conj().T
+        rest = [np.outer(u[:, k], u[:, k].conj()) for k in range(5 - members, 4)]
+        return rc.ProjectorFamily(labels=tuple(range(members)), projectors=(first, *rest))
+
+    @pytest.mark.parametrize(
+        "h_kind, form, rank",
+        [("degenerate", "factored", 1), ("degenerate", "factored", 2), ("degenerate", "dense", 2),
+         ("none", "factored", 1), ("none", "dense", 2)],
+        ids=["factor-fft", "factor-matmul", "from_matrix", "no-h-factor-fft", "no-h-from_matrix"],
+    )
+    def test_matches_brute_force(self, clock, rng, h_kind, form, rank):
+        rho = self.state(rng, clock, rank, form)
+        h = self.degenerate_h(rng) if h_kind == "degenerate" else np.zeros((4, 4), dtype=complex)
+        h_system = rc.Observable.from_matrix(h) if h_kind == "degenerate" else None
+        fam = self.family(rng)
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        got = rc.conditional_probabilities(rho, fam, clock, self.T0, h_system=h_system, t_grid=t_grid)
+        window = clock.window_projector(self.T0)
+        for q, value in zip(fam.projectors, got):
+            want = oracles.brute_conditional_probability(rho.matrix, q, window, clock.h_clock.matrix, h, t_grid)
+            assert value == pytest.approx(want, abs=1e-9)
+
+    def test_family_call_equals_member_calls(self, clock, rng):
+        rho = self.state(rng, clock, 2, "factored")
+        h = rc.Observable.from_matrix(self.degenerate_h(rng))
+        fam = self.family(rng, 3)
+        together = rc.conditional_probabilities(rho, fam, clock, self.T0, h_system=h)
+        for q, value in zip(fam.projectors, together):
+            assert abs(rc.conditional_probability(rho, q, clock, self.T0, h_system=h) - value) <= 1e-14
+
+
 class TestPhysicalTimeState:
     def test_delta_density_reproduces_unitary(self, h_z, rng):
         rho0 = qubit_state(rng)
