@@ -343,16 +343,20 @@ def _positive(x) -> bool:
     return _is_number(x) and x > 0
 
 
+def _dims_product(spec) -> int | None:
+    """The product of an embedded operator's dims, or None where validate cannot read them."""
+    dims = spec.get("dims") if isinstance(spec, dict) else None
+    if isinstance(dims, list) and dims and all(map(_is_integer, dims)):
+        return math.prod(int(d) for d in dims)
+    return None
+
+
 def _system_dim(system: dict) -> int | None:
     """Dimension of a system section, or None where validate cannot read one."""
     name = system.get("name")
     if name is not None:
         return _PRESET_DIMS.get(name) if isinstance(name, str) else None
-    h = system.get("hamiltonian")
-    dims = h.get("dims") if isinstance(h, dict) else None
-    if isinstance(dims, list) and dims and all(map(_is_integer, dims)):
-        return int(np.prod(dims))
-    return None
+    return _dims_product(system.get("hamiltonian"))
 
 
 # query values the runners convert with float() or int(): a string fails there
@@ -464,6 +468,12 @@ def validate_config(cfg: dict) -> list[str]:
         init = system.get("initial_state")
         if isinstance(init, str) and init not in _NAMED_STATES:
             violations.append(f"system.initial_state {init!r} is not a named state")
+        for key in ("hamiltonian", "initial_state"):
+            spec = system.get(key)
+            d = _dims_product(spec)
+            rows = spec.get("re") if isinstance(spec, dict) else None
+            if d is not None and isinstance(rows, list) and d != len(rows):
+                violations.append(f"system.{key} dims {spec['dims']} multiply to {d}, but its matrix has {len(rows)} rows")
 
     for i, q in enumerate(queries):
         if not isinstance(q, dict):

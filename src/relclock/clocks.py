@@ -208,9 +208,43 @@ class ClockModel:
         n_points = int(math.ceil(self.tau / dt)) + 1
         return np.linspace(0.0, self.tau, min(max(n_points, 48), 20001))
 
+    # The clock-only quadrature tables of the default grid, built on first use
+    # and shared, read-only, by every reading on this clock.  A caller's own
+    # grid, even one equal to the default, takes the uncached path.
+
+    @cached_property
+    def _default_grid(self) -> np.ndarray:
+        return _freeze(self.default_t_grid(), None)
+
+    @cached_property
+    def _default_weights(self) -> np.ndarray:
+        return _freeze(trapezoid_weights(self._default_grid), None)
+
+    @cached_property
+    def _default_phases(self) -> np.ndarray | None:
+        """e^{i dispersion t} on the default grid, shape (nt, n); None when the
+        table would exceed one chunk's budget, and the kernel computes each
+        chunk's rows instead."""
+        t = self._default_grid
+        if t.size * self.n > _CHUNK_ENTRIES:
+            return None
+        return _freeze(np.exp(1j * np.outer(t, self.dispersion)), None)
+
     def _t_grid(self, t_grid: np.ndarray | None) -> np.ndarray:
-        """``t_grid`` as a float array, or ``default_t_grid()`` for None."""
-        return self.default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+        """``t_grid`` as a float array, or the cached default grid for None."""
+        return self._default_grid if t_grid is None else np.asarray(t_grid, dtype=float)
+
+    def _quadrature_weights(self, t_grid: np.ndarray) -> np.ndarray:
+        """Trapezoid weights of ``t_grid``, cached for the default grid."""
+        return self._default_weights if t_grid is self._default_grid else trapezoid_weights(t_grid)
+
+    def _phases(self, t_grid: np.ndarray, sl: slice) -> np.ndarray:
+        """e^{i dispersion t} for the times ``t_grid[sl]``, shape (c, n): rows of
+        the cached table for the default grid, computed otherwise."""
+        table = self._default_phases if t_grid is self._default_grid else None
+        if table is None:
+            return np.exp(1j * np.outer(t_grid[sl], self.dispersion))
+        return table[sl]
 
 
 def build_free_particle_clock(

@@ -25,7 +25,6 @@ from .clocks import (
     UnreachableReadingError,
     clock_density,
     density_moments,
-    trapezoid_weights,
 )
 from .states import (
     DensityOperator,
@@ -65,19 +64,30 @@ def _energy_basis_stack(
     with ad_H (unitary evolution, the dephasing master equation, a mixture
     over times) is such an elementwise factor on energy-basis entries.  With
     ``weights`` the factors are summed over times, sum_t weights_t exp(...),
-    and one matrix is returned instead of the stack."""
+    and one matrix is returned instead of the stack: the sum walks t-chunks of
+    at most ``_CHUNK_ENTRIES`` factor entries, and a stack that fits one chunk
+    is summed by a single ``tensordot``."""
     v = h.eigenvectors
     # tilde before the exponent: a complex exp issued directly after a BLAS
     # call ran several times slower (OpenBLAS 0.3.31 Haswell kernels, x86-64)
     tilde = v.conj().T @ op @ v
     lam = h.eigenvalues
     omega = lam[:, None] - lam[None, :]
-    exponent = -1j * times[:, None, None] * omega
-    if db is not None:
-        exponent -= db[:, None, None] * omega**2
-    factor = np.exp(exponent, out=exponent)
-    if weights is not None:
-        factor = np.tensordot(weights, factor, axes=1)
+
+    def factors(sl: slice) -> np.ndarray:
+        exponent = -1j * times[sl, None, None] * omega
+        if db is not None:
+            exponent -= db[sl, None, None] * omega**2
+        return np.exp(exponent, out=exponent)
+
+    if weights is None:
+        factor = factors(slice(None))
+    else:
+        step = max(1, _CHUNK_ENTRIES // omega.size)
+        chunks = [slice(start, start + step) for start in range(0, times.size, step)]
+        factor = np.tensordot(weights[chunks[0]], factors(chunks[0]), axes=1)
+        for sl in chunks[1:]:
+            factor += np.tensordot(weights[sl], factors(sl), axes=1)
     return v @ (tilde * factor) @ v.conj().T
 
 
@@ -99,27 +109,44 @@ def _kron_stack(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     return out.reshape(nt, da * db, da * db)
 
 
-def _system_projector(q_proj: np.ndarray, space: HilbertSpace, n_clock: int) -> np.ndarray:
-    """Accept a system-factor projector, or a full-space one acting trivially
-    on the clock, and return the system-factor matrix."""
+def _system_projectors(q_projs: Sequence[np.ndarray], space: HilbertSpace, n_clock: int) -> np.ndarray:
+    """Accept system-factor projectors, or full-space ones acting trivially on
+    the clock, and return the (m, d, d) stack of hermitized system-factor
+    matrices.  Members are checked in order, each for its shape (or clock
+    embedding), hermiticity and idempotency, and the first failing member
+    raises its first failed check."""
+    tol = 1e-8
     d_full = space.total_dim
     d_sys = d_full // n_clock
-    q = np.asarray(q_proj, dtype=complex)
-    if q.shape == (d_sys, d_sys):
-        b = q
-    elif q.shape == (d_full, d_full):
+    blocks, structural = [], None
+    for q in q_projs:
+        q = np.asarray(q, dtype=complex)
+        if q.shape == (d_sys, d_sys):
+            blocks.append(q)
+            continue
+        if q.shape != (d_full, d_full):
+            structural = f"projector shape {q.shape} matches neither the system ({d_sys}) nor the full space"
+            break
         resh = q.reshape(n_clock, d_sys, n_clock, d_sys)
         b = np.einsum("iaib->ab", resh) / n_clock
         rebuilt = np.einsum("ij,ab->iajb", np.eye(n_clock), b).reshape(d_full, d_full)
         if np.max(np.abs(q - rebuilt)) > 1e-9:
-            raise ValidationError("projector acts on the clock factor")
-    else:
-        raise ValidationError(
-            f"projector shape {q.shape} matches neither the system ({d_sys}) nor the full space"
-        )
-    b = hermitize(b, 1e-8)
-    if _norm_exceeds(b @ b - b, 1e-8):
-        raise ValidationError("supplied operator is not a projector")
+            structural = "projector acts on the clock factor"
+            break
+        blocks.append(b)
+    b = np.array(blocks, dtype=complex).reshape(len(blocks), d_sys, d_sys)
+    # one Hermitian-defect pass and one hermitize, with the arithmetic of ``hermitize``
+    b_h = b.conj().transpose(0, 2, 1)
+    defect = np.abs(b - b_h).max(axis=(1, 2), initial=0.0)
+    b = 0.5 * (b + b_h)
+    residual = b @ b - b
+    for i in range(len(blocks)):
+        if defect[i] > tol:
+            raise ValidationError(f"matrix is not Hermitian: max asymmetry {defect[i]:.3e} > {tol:.1e}")
+        if _norm_exceeds(residual[i], tol):
+            raise ValidationError("supplied operator is not a projector")
+    if structural is not None:
+        raise ValidationError(structural)
     return b
 
 
@@ -129,7 +156,7 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
         raise ValidationError(
             f"state must live on clock (dim {clock.n}) tensor system, got factors {dims}"
         )
-    return clock.n, int(np.prod(dims[1:]))
+    return clock.n, math.prod(dims[1:])
 
 
 def _window_dft(n: int, mask: np.ndarray) -> np.ndarray:
@@ -154,7 +181,8 @@ def _window_cores(
     transpose of e^{iH_c t} E (shape (c, r, n)) and factors the Heisenberg
     window as W(t) = e[t]^T conj(e[t]); h_clock is diagonal in the Fourier
     basis, so ``e`` is a batch of FFTs, each along the last, contiguous axis.
-    ``out`` depends on ``form``:
+    Its phases e^{i dispersion t} come from ``clock._phases``: rows of the
+    clock's cached table on the default grid.  ``out`` depends on ``form``:
 
     - ``"core"``: core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I), with the entry
       [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where
@@ -206,10 +234,9 @@ def _window_cores(
         e0 = _window_dft(n, mask)
     step = max(1, _CHUNK_ENTRIES // max(1, per_time))
     for start in range(0, t_grid.size, step):
-        t = t_grid[start : start + step]
-        c = t.size
-        sl = slice(start, start + c)
-        phase = np.exp(1j * np.outer(t, clock.dispersion))
+        sl = slice(start, min(start + step, t_grid.size))
+        phase = clock._phases(t_grid, sl)
+        c = phase.shape[0]
         e = np.fft.ifft(phase[:, None, :] * e0) if with_e else None
         if f is None:
             y = rho_j @ e.transpose(2, 0, 1).reshape(n, c * r)
@@ -258,7 +285,7 @@ def _window_factor(
     k = rho.factor.shape[1]
     nt = t_grid.size
     s_t = np.stack([heisenberg_stack(op, h_system, t_grid) for op in sys_ops], axis=1)
-    s_t *= np.sqrt(trapezoid_weights(t_grid))[:, None, None, None]
+    s_t *= np.sqrt(clock._quadrature_weights(t_grid))[:, None, None, None]
     y = np.empty((n, d, nt, len(sys_ops), k), dtype=complex)
     if mask is None:
         chunks = [(slice(0, nt), None, np.broadcast_to(rho.factor.reshape(n, d * k).T, (nt, d * k, n)))]
@@ -292,7 +319,7 @@ def _window_sandwich(
     for op in sys_ops:
         s_t = heisenberg_stack(op, h_system, t_grid)
         chan += np.einsum("tac,tbd->tabcd", s_t, s_t.conj())
-    chan = trapezoid_weights(t_grid)[:, None, None] * chan.reshape(nt, d * d, d * d)
+    chan = clock._quadrature_weights(t_grid)[:, None, None] * chan.reshape(nt, d * d, d * d)
     if mask is None:
         # W(t) = I: the clock unitaries cancel and only the system channel acts
         blocks = rho.matrix.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
@@ -369,9 +396,9 @@ def conditional_probabilities(
     if isinstance(projectors, ProjectorFamily):
         projectors = projectors.projectors
     n_cl, d_sys = _split_space(rho, clock)
-    sys_projs = [_system_projector(q, rho.space, n_cl) for q in projectors]
+    sys_projs = _system_projectors(projectors, rho.space, n_cl)
     t_grid = clock._t_grid(t_grid)
-    w = trapezoid_weights(t_grid)
+    w = clock._quadrature_weights(t_grid)
     if h_system is None:
         v, lam = np.eye(d_sys, dtype=complex), np.zeros(d_sys)
     else:
@@ -389,7 +416,7 @@ def conditional_probabilities(
         raise UnreachableReadingError(f"clock never reads {t0} on this state: normalization {den}")
     # Tr(Q~ K) = Tr(Q V K V^dagger): one rotation back for the whole family
     kernel = v @ kernel @ v.conj().T
-    values = np.einsum("iab,ba->i", np.array(sys_projs), kernel).real / den
+    values = np.einsum("iab,ba->i", sys_projs, kernel).real / den
     if np.any(values < -1e-8) or np.any(values > 1.0 + 1e-8):
         raise ArithmeticError(f"conditional probability left [0, 1]: {values}")
     return np.clip(values, 0.0, 1.0)
@@ -634,7 +661,7 @@ def reduce_state(
     n_cl, d_sys = _split_space(rho, clock)
     t_grid = clock._t_grid(t_grid)
 
-    present = [_system_projector(e.q_proj, rho.space, n_cl) for e in events if e.q_proj is not None]
+    present = _system_projectors([e.q_proj for e in events if e.q_proj is not None], rho.space, n_cl)
     for i in range(len(present)):
         for j in range(i + 1, len(present)):
             if _norm_exceeds(present[i] @ present[j] - present[j] @ present[i], 1e-9):

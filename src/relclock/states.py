@@ -9,6 +9,7 @@ are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -64,7 +65,7 @@ class HilbertSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __mul__(self, other: "HilbertSpace") -> "HilbertSpace":
         return HilbertSpace(self.dims + other.dims)
@@ -435,7 +436,7 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[in
             col[ax] = row[ax]
     out_idx = [row[k] for k in keep] + [col[k] for k in keep]
     reduced = np.einsum(m, row + col, out_idx)
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod(dims[k] for k in keep)
     return reduced.reshape(d_keep, d_keep)
 
 
@@ -449,7 +450,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         return DensityOperator.from_matrix(partial_trace_matrix(rho.matrix, dims, keep), kept_dims)
     traced = [ax for ax in range(len(dims)) if ax not in keep]
     f = rho.factor.reshape(dims + (-1,)).transpose(keep + traced + [len(dims)])
-    return DensityOperator.from_factor(f.reshape(int(np.prod(kept_dims)), -1), kept_dims)
+    return DensityOperator.from_factor(f.reshape(math.prod(kept_dims), -1), kept_dims)
 
 
 def projector_family(obs: Observable) -> ProjectorFamily:
@@ -538,7 +539,7 @@ def operator_from_json(text: str | dict) -> tuple[np.ndarray, tuple[int, ...]]:
     im = np.asarray(payload["im"], dtype=float)
     if re.shape != im.shape:
         raise ValidationError("re and im blocks have different shapes")
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if re.shape != (d, d):
         raise ValidationError(f"matrix shape {re.shape} does not match dims product {d}")
     return re + 1j * im, dims

@@ -151,6 +151,26 @@ class TestValidate:
         assert res.returncode == 1, res.stdout + res.stderr
         assert message in json.loads(res.stdout)["violations"]
 
+    def test_dims_whose_product_wraps_in_int64_are_violations(self, tmp_path):
+        # 3 * 6148914691236517206 = 2^64 + 2, which int64 arithmetic wraps to the 2 rows given
+        dims = [3, 6148914691236517206]
+        cfg = load_preset("qubit_decay")
+        cfg["system"] = {
+            "hamiltonian": {"dims": dims, "re": rc.SIGMA_Z.real.tolist(), "im": np.zeros((2, 2)).tolist()},
+            "initial_state": {"dims": dims, "re": np.full((2, 2), 0.5).tolist(), "im": np.zeros((2, 2)).tolist()},
+        }
+        messages = [f"system.{key} dims {dims} multiply to {2**64 + 2}, but its matrix has 2 rows"
+                    for key in ("hamiltonian", "initial_state")]
+        assert cli.validate_config(cfg) == messages
+        with pytest.raises(cli.ConfigError, match="multiply to"):
+            cli.run_config(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        path = tmp_path / "wrapped.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli("validate", str(path))
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert json.loads(res.stdout)["violations"] == messages
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = cli.preset_path("conditional_identity")
         res = run_cli("validate", str(good))

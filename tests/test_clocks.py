@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import relclock as rc
 
 import oracles
+from inputs import FORMS, product_state, qubit_state
 
 
 class TestAccuracyLaw:
@@ -206,6 +208,82 @@ class TestClockDensities:
         t_values.insert(position, 50.0)
         with pytest.raises(rc.UnreachableReadingError, match="outside the clock range"):
             rc.clock_densities(free_clock, t_values)
+
+
+class TestDefaultGridTables:
+    """The default grid, its weights and its phase table are built once per
+    clock and shared read-only by every reading; a caller's grid, even an
+    equal one, takes the uncached path."""
+
+    PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+
+    @staticmethod
+    def clock(n=64):
+        # the perfbench probabilities clock: a 49-point default grid
+        return rc.build_free_particle_clock(n, mass=30.0, sigma0=0.5, delta_c=0.35, tau=2.8)
+
+    def test_default_grid_is_shared_and_read_only(self):
+        clock = self.clock()
+        grid = clock._t_grid(None)
+        assert grid is clock._t_grid(None)
+        assert not grid.flags.writeable
+        fresh = clock.default_t_grid()
+        assert fresh is not grid and fresh.flags.writeable
+        assert np.array_equal(fresh, grid)
+        fresh[0] = -1.0
+        assert grid[0] == 0.0 and clock.default_t_grid()[0] == 0.0
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_default_grid_bitwise_equal_to_the_same_grid_passed(self, rng, form):
+        clock = self.clock()
+        rho = product_state(clock, qubit_state(rng, form), form)
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2))
+        family = rc.ProjectorFamily(labels=("plus", "minus"), projectors=(self.PLUS, np.eye(2) - self.PLUS))
+        for t0 in (0.8, 1.9):
+            # the explicit grid is a fresh array, so it computes its own weights and phases
+            explicit = clock.default_t_grid()
+            p = rc.conditional_probabilities(rho, family, clock, t0, h)
+            assert np.array_equal(p, rc.conditional_probabilities(rho, family, clock, t0, h, explicit))
+            m = rc.rho_mod(rho, clock, t0, h)
+            assert np.array_equal(m.matrix, rc.rho_mod(rho, clock, t0, h, explicit).matrix)
+            e = rc.detect_event(rho, family, clock, t0, 10, 0.3, h)
+            assert e.as_dict() == rc.detect_event(rho, family, clock, t0, 10, 0.3, h, t_grid=explicit).as_dict()
+        assert clock._default_phases.shape == (clock._t_grid(None).size, clock.n)
+        assert not clock._default_phases.flags.writeable
+
+    def test_no_phase_table_above_one_chunk(self):
+        # README clock at n = 16384: 104 x 16384 phases exceed the 2^20-entry chunk budget
+        clock = rc.build_free_particle_clock(16384, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+        t_grid = clock.default_t_grid()
+        assert t_grid.size * clock.n > rc.clocks._CHUNK_ENTRIES
+        h = rc.Observable.from_matrix(rc.SIGMA_Z)
+        plus = rc.DensityOperator.from_matrix(self.PLUS, (2,))
+        p = rc.conditional_probability(clock.rho0.tensor(plus), self.PLUS, clock, 2.0, h)
+        assert clock._default_phases is None
+        # product input: the window mass of the packet evolved at each time,
+        # times the Schroedinger-picture probability of plus, integrated over t
+        psi_t = clock.evolve_state(t_grid)
+        mass = np.sum(np.abs(psi_t[clock._window_mask(2.0)]) ** 2, axis=0)
+        born = np.array([plus.expectation(rc.unitary_evolve(self.PLUS, h, t)) for t in t_grid])
+        assert p == pytest.approx(oracles.trapezoid(mass * born, t_grid) / oracles.trapezoid(mass, t_grid), abs=1e-9)
+
+    def test_repeated_readings_retain_only_the_clock_tables(self, rng):
+        clock = self.clock(128)
+        rho = clock.rho0.tensor(qubit_state(rng, "factored"))
+        h = rc.Observable.from_matrix(rc.SIGMA_Z)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t0 in np.linspace(0.6, 2.2, 30):
+                rc.conditional_probabilities(rho, [self.PLUS], clock, t0, h)
+                rc.rho_mod(rho, clock, t0, h)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        tables = sum(a.nbytes for a in (clock._default_grid, clock._default_weights, clock._default_phases))
+        # beyond the tables (99 KiB here) only numpy's and Python's small-object
+        # caches stay allocated, a few KiB that do not grow with the readings
+        assert tables <= retained <= tables + 32768
 
 
 class TestGaussianDensity:

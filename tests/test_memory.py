@@ -8,7 +8,8 @@ would take 16 GiB, while its conditioned state stays a factor of nt columns
 and ``detect_event`` builds no state at all.  A probability on a large
 system (the qubit and an 8-spin register, d = 512) is one d x d kernel in the
 Hamiltonian's eigenbasis, where a Heisenberg stack of the projector would take
-416 MiB.  The reading densities of several readings come from one clock
+416 MiB, and its reading-density reference ``effective_projector`` sums that
+stack over t-chunks without holding it.  The reading densities of several readings come from one clock
 evolution walked over t-chunks.  No timing is asserted.  Each test also
 checks its result through an independent path, since at these sizes the
 kernel walks the time grid in several chunks.  The spin-register oracle walks
@@ -157,6 +158,26 @@ def test_register_conditional_probability_peak():
     weights = density._weights()
     coherence = rc.exact_reduced_coherence(model, density.t_grid)
     assert p == pytest.approx(float(np.sum(weights * (0.5 + coherence.real)) / weights.sum()), abs=1e-9)
+
+
+def test_register_effective_projector_peak():
+    # d = 512, nt = 104: the whole (nt, d, d) factor stack would take 416 MiB;
+    # the weighted sum walks t-chunks of at most 2^20 entries instead
+    clock = rc.build_free_particle_clock(256, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+    model = rc.make_incommensurate_model(8)
+    lam = np.kron([1.0, -1.0], model.branch_energies())
+    h = rc.Observable.from_matrix(np.diag(lam))
+    q = np.kron(PLUS, np.eye(2**8))
+    f, peak = traced_peak_mb(lambda: rc.effective_projector(q, clock, T0, h_system=h))
+    assert peak <= LIMIT_MB
+    # diagonal h: e^{iHt} Q e^{-iHt} multiplies Q_mn by e^{i (lam_m - lam_n) t}, summed time by time
+    density = rc.clock_density(clock, T0)
+    weights = density._weights() / density._weights().sum()
+    omega = lam[:, None] - lam[None, :]
+    mix = np.zeros_like(q)
+    for w, t in zip(weights, density.t_grid):
+        mix += w * np.exp(1j * omega * t)
+    np.testing.assert_allclose(f, q * mix, rtol=0, atol=1e-12)
 
 
 def test_register_oracle_on_thirteen_spins():

@@ -148,6 +148,48 @@ class TestEnergyBasisKernel:
             assert abs(rc.conditional_probability(rho, q, clock, self.T0, h_system=h) - value) <= 1e-14
 
 
+class TestProjectorChecks:
+    """Members are checked in order, and the first failing one raises the
+    message of its first failed check, whichever call reads the family."""
+
+    @staticmethod
+    def call(name, rho, clock, members, h):
+        if name == "conditional_probabilities":
+            return rc.conditional_probabilities(rho, members, clock, 1.0, h_system=h)
+        return rc.reduce_state(rho, clock, [(q, 1.0 if i == 0 else None) for i, q in enumerate(members)], h)
+
+    @pytest.mark.parametrize("name", ["conditional_probabilities", "reduce_state"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda n: np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
+             r"matrix is not Hermitian: max asymmetry 1\.000e\+00 > 1\.0e-08"),
+            (lambda n: 0.5 * I2, "supplied operator is not a projector"),
+            (lambda n: np.kron(np.diag(np.arange(n) < n // 2).astype(complex), I2),
+             "projector acts on the clock factor"),
+            (lambda n: np.eye(3, dtype=complex),
+             r"projector shape \(3, 3\) matches neither the system \(2\) nor the full space"),
+        ],
+        ids=["not-hermitian", "not-projector", "acts-on-clock", "wrong-shape"],
+    )
+    def test_bad_second_member_raises_its_message(self, free_clock, h_z, rng, name, bad, message):
+        rho = product_state(free_clock, qubit_state(rng, "factored"), "factored")
+        with pytest.raises(rc.ValidationError, match=f"^{message}$"):
+            self.call(name, rho, free_clock, [P_UP, bad(free_clock.n)], h_z)
+
+    @pytest.mark.parametrize("name", ["conditional_probabilities", "reduce_state"])
+    def test_first_failing_member_is_reported(self, free_clock, h_z, rng, name):
+        rho = product_state(free_clock, qubit_state(rng, "factored"), "factored")
+        with pytest.raises(rc.ValidationError, match="^supplied operator is not a projector$"):
+            self.call(name, rho, free_clock, [P_UP, 0.5 * I2, np.eye(3)], h_z)
+
+    def test_full_space_members_give_the_system_factor(self, free_clock, h_z, rng):
+        rho = product_state(free_clock, qubit_state(rng, "factored"), "factored")
+        full = [np.kron(np.eye(free_clock.n), q) for q in (P_UP, I2 - P_UP)]
+        got = rc.conditional_probabilities(rho, full, free_clock, 1.0, h_system=h_z)
+        assert np.array_equal(got, rc.conditional_probabilities(rho, [P_UP, I2 - P_UP], free_clock, 1.0, h_system=h_z))
+
+
 class TestPhysicalTimeState:
     def test_delta_density_reproduces_unitary(self, h_z, rng):
         rho0 = qubit_state(rng)

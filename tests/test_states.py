@@ -478,3 +478,14 @@ class TestSerialization:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(rc.ValidationError):
             rc.operator_from_json('{"dims": [3], "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}')
+
+    def test_dims_whose_product_wraps_in_int64_are_rejected(self):
+        # 3 * 6148914691236517206 = 2^64 + 2, which int64 arithmetic wraps to 2
+        payload = {"dims": [3, 6148914691236517206], "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(rc.ValidationError, match="does not match dims product 18446744073709551618"):
+            rc.operator_from_json(payload)
+
+
+@pytest.mark.parametrize("dims, total", [((2,) * 63, 2**63), ((2,) * 64, 2**64), ((3, 6148914691236517206), 2**64 + 2)])
+def test_total_dim_is_exact_beyond_int64(dims, total):
+    assert rc.HilbertSpace(dims).total_dim == total
