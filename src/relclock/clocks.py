@@ -176,11 +176,17 @@ class ClockModel:
         balanced, so none holds a single column unless n_t = 1: numpy sums an
         (r, 1) array pairwise, an (r, c >= 2) one row by row, and the two round
         differently.  The masses thus equal, bit for bit, those of one
-        unchunked ``evolve_state`` over the whole grid.
+        unchunked ``evolve_state`` over the whole grid, and those summed from
+        the clock's reading table, which serves the default grid.
         """
         masks = [self._window_mask(t0) for t0 in t_values]
         t = np.atleast_1d(np.asarray(t_grid, dtype=float))
         out = np.empty((len(masks), t.size))
+        table = self._default_readings if t_grid is self._default_grid else None
+        if table is not None:
+            for row, mask in zip(out, masks):
+                row[:] = np.sum(table[mask, :], axis=0)
+            return out
         step = max(1, _CHUNK_ENTRIES // self.n)
         start = 0
         for chunk in np.array_split(t, max(1, -(-t.size // step))):
@@ -229,6 +235,16 @@ class ClockModel:
         if t.size * self.n > _CHUNK_ENTRIES:
             return None
         return _freeze(np.exp(1j * np.outer(t, self.dispersion)), None)
+
+    @cached_property
+    def _default_readings(self) -> np.ndarray | None:
+        """|psi(x, t)|^2 on the default grid, shape (n, nt), from one
+        ``evolve_state``: the reading densities sum its window rows.  None
+        under the phase table's rule, and the masses are evolved per chunk."""
+        t = self._default_grid
+        if t.size * self.n > _CHUNK_ENTRIES:
+            return None
+        return _freeze(np.abs(self.evolve_state(t)) ** 2, None)
 
     def _t_grid(self, t_grid: np.ndarray | None) -> np.ndarray:
         """``t_grid`` as a float array, or the cached default grid for None."""
@@ -363,7 +379,7 @@ def clock_densities(
     around each of ``t_values``, normalized over [0, tau] on the supplied grid.
     One evolution of the clock packet serves every reading."""
     t_grid = clock._t_grid(t_grid)
-    w = trapezoid_weights(t_grid)
+    w = clock._quadrature_weights(t_grid)
     densities = []
     for t0, raw in zip(t_values, clock._window_masses(t_values, t_grid)):
         denom = float(np.sum(w * raw))

@@ -270,6 +270,95 @@ class EventRecord:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+def _blocked_r(n: int, d: int, m: int, rows_of) -> np.ndarray:
+    """The R factor of the (n d, m) matrix whose rows for the clock nodes
+    [start, start + b) are ``rows_of(start, b)``, a (b d, m) array, taken by
+    QR over blocks of nodes; the matrix itself when it has no fewer columns
+    than rows.  Blocks hold about one chunk each, and at least m rows, so that
+    each QR step reduces at least as many rows as it carries over in R."""
+    tall = m < n * d
+    step = max(-(-m // d), _CHUNK_ENTRIES // (m * d)) if tall else n
+    r = None
+    for start in range(0, n, step):
+        z = rows_of(start, min(step, n - start))
+        if tall:
+            z = np.linalg.qr(z if r is None else np.vstack([r, z]), mode="r")
+        r = z
+    return r
+
+
+def _conserved(family: ProjectorFamily, h_system: Observable | None) -> bool:
+    """Whether ``family`` is a pair whose members commute with ``h_system``,
+    ||[P, h]|| <= 1e-12 max(1, ||h||) in spectral norm, so that P(t) = P."""
+    if len(family) != 2:
+        return False
+    if h_system is None:
+        return True
+    h, tol = h_system.matrix, 1e-12 * max(1.0, h_system.norm())
+    return not any(_norm_exceeds(p @ h - h @ p, tol) for p in family.projectors)
+
+
+def _off_diagonal_gap(y: np.ndarray, family: ProjectorFamily, n: int, d_sys: int) -> tuple[float, np.ndarray]:
+    """den d and the outcome weights ||Z_P||_F^2 for a complete pair of
+    constant projectors (``_conserved``).  Then P(t) = P, rho_event is the
+    pinching of rho_mod, and their difference is the off-diagonal block
+    (I (x) P_1) rho_mod (I (x) P_2) plus its adjoint: d is that block's
+    nuclear norm.  With isometries U_a onto the two ranges,
+    Y_a = (I (x) U_a^dagger) Y = Q_a R_a, and
+
+        den d = ||Y_1 Y_2^dagger||_* = sum of the singular values of R_1 R_2^dagger,
+
+    while ||Z_a||_F = ||Y_a||_F = ||R_a||_F."""
+    lam, u = np.linalg.eigh(family.projectors[0])
+    cols = y.shape[1]
+    y = y.reshape(n, d_sys, cols)
+    rs = []
+    for iso in (u[:, lam > 0.5], u[:, lam <= 0.5]):
+        iso_h = iso.conj().T
+        rs.append(_blocked_r(n, iso.shape[1], cols, lambda s, b: (iso_h @ y[s : s + b]).reshape(-1, cols)))
+    weight = np.array([np.vdot(r, r).real for r in rs])
+    return float(np.linalg.svd(rs[0] @ rs[1].conj().T, compute_uv=False).sum()), weight
+
+
+def _pinching_gap(
+    y: np.ndarray,
+    family: ProjectorFamily,
+    h_system: Observable | None,
+    t_grid: np.ndarray,
+    n: int,
+    d_sys: int,
+) -> tuple[float, np.ndarray]:
+    """den d and the outcome weights ||Z_P||_F^2 for any complete family.
+    With Z_P = (I (x) P(t)) Y per member, the family resolves the identity,
+    so Y = sum_P Z_P and
+
+        den (rho_mod - rho_event) = Y Y^dagger - sum_P Z_P Z_P^dagger = Z K Z^dagger
+
+    with Z = [Z_P1, Z_P2, ...] and K = (1 1^T - I) (x) I.  Where Z has fewer
+    columns than rows, its R factor gives the nonzero spectrum as that of
+    R K R^dagger; otherwise Z K Z^dagger is formed."""
+    nt, members, cols = t_grid.size, len(family), y.shape[1]
+    # (P_1(t); P_2(t); ...) stacked per time, applied to the rows of Y at that time
+    p_t = np.stack([heisenberg_stack(p, h_system, t_grid) for p in family.projectors], axis=1)
+    p_t = p_t.reshape(nt, members * d_sys, d_sys)
+    y = y.reshape(n, d_sys, nt, -1)
+    m = members * cols
+    weight = np.zeros(members)
+
+    def rows_of(start: int, b: int) -> np.ndarray:
+        block = y[start : start + b]
+        w = p_t @ block.transpose(2, 1, 0, 3).reshape(nt, d_sys, -1)
+        weight[:] += np.square(w.view(float)).reshape(nt, members, -1).sum(axis=(0, 2))
+        # Z rows (i, a), columns (P, t, k)
+        return w.reshape(nt, members, d_sys, b, -1).transpose(3, 2, 1, 0, 4).reshape(b * d_sys, m)
+
+    r = _blocked_r(n, d_sys, m, rows_of)
+    blocks = r.reshape(-1, members, cols)
+    gap = (blocks.sum(axis=1, keepdims=True) - blocks).reshape(-1, m) @ r.conj().T
+    lam = np.linalg.eigvalsh(gap)
+    return float(lam[lam > 0].sum()), weight
+
+
 def _event_gap(
     rho: DensityOperator,
     family: ProjectorFamily,
@@ -281,51 +370,25 @@ def _event_gap(
     """``distinguishability(rho_mod, rho_event)`` and the outcome probabilities
     of a Gram-factored rho in one Heisenberg-frame pass of the window kernel.
 
-    With Y the factor of the window sandwich (``rho_mod`` is Y Y^dagger / den,
-    den = ||Y||_F^2) and Z_P = (I (x) P(t)) Y per member, the family resolves
-    the identity, so Y = sum_P Z_P and
-
-        den (rho_mod - rho_event) = Y Y^dagger - sum_P Z_P Z_P^dagger = Z K Z^dagger
-
-    with Z = [Z_P1, Z_P2, ...] and K = (1 1^T - I) (x) I.  Where Z has fewer
-    columns than rows, its R factor (Z = QR, taken over blocks of rows) gives
-    the nonzero spectrum as that of R K R^dagger; otherwise Z K Z^dagger is
-    formed.  Frame rotations are unitary and leave the best projector test
-    unchanged, so none is applied.  The outcome probabilities are
-    ||Z_P||_F^2 / den."""
+    Y is the factor of the window sandwich: ``rho_mod`` is Y Y^dagger / den,
+    den = ||Y||_F^2.  A pair of members that commute with h takes the
+    off-diagonal block (``_off_diagonal_gap``), any other family the pinching
+    of the whole family (``_pinching_gap``).  Frame rotations are unitary and
+    leave the best projector test unchanged, so none is applied.  The outcome
+    probabilities are ||(I (x) P(t)) Y||_F^2 / den."""
     n, d_sys = _split_space(rho, clock)
     y = _window_factor(rho, clock, clock._window_mask(t0), [np.eye(d_sys)], None, t_grid)
     den = float(np.vdot(y, y).real)
     if den <= 1e-300:
         raise ZeroProbabilityError("reduction has zero probability")
-    nt, members, cols = t_grid.size, len(family), y.shape[1]
-    # (P_1(t); P_2(t); ...) stacked per time, applied to the rows of Y at that time
-    p_t = np.stack([heisenberg_stack(p, h_system, t_grid) for p in family.projectors], axis=1)
-    p_t = p_t.reshape(nt, members * d_sys, d_sys)
-    y = y.reshape(n, d_sys, nt, -1)
-    m = members * cols
-    # blocks of clock nodes: about one chunk each, and at least m rows so that
-    # each QR step reduces at least as many rows as it carries over in R
-    rows = n if m >= n * d_sys else max(-(-m // d_sys), _CHUNK_ENTRIES // (m * d_sys))
-    r = None
-    weight = np.zeros(members)
-    for start in range(0, n, rows):
-        block = y[start : start + rows]
-        b = block.shape[0]
-        w = p_t @ block.transpose(2, 1, 0, 3).reshape(nt, d_sys, -1)
-        weight += np.square(w.view(float)).reshape(nt, members, -1).sum(axis=(0, 2))
-        # Z rows (i, a), columns (P, t, k)
-        z = w.reshape(nt, members, d_sys, b, -1).transpose(3, 2, 1, 0, 4).reshape(b * d_sys, m)
-        if m < n * d_sys:
-            z = np.linalg.qr(z if r is None else np.vstack([r, z]), mode="r")
-        r = z
+    if _conserved(family, h_system):
+        gap, weight = _off_diagonal_gap(y, family, n, d_sys)
+    else:
+        gap, weight = _pinching_gap(y, family, h_system, t_grid, n, d_sys)
     probs = weight / den
     if not abs(probs.sum() - 1.0) <= TOL_TRACE + TOL_PROJ:
         raise ArithmeticError(f"pinching changed the trace of the conditioned state: {probs.sum()!r}")
-    blocks = r.reshape(-1, members, cols)
-    gap = (blocks.sum(axis=1, keepdims=True) - blocks).reshape(-1, m) @ r.conj().T
-    lam = np.linalg.eigvalsh(gap)
-    return float(lam[lam > 0].sum()) / den, np.clip(probs, 0.0, 1.0)
+    return gap / den, np.clip(probs, 0.0, 1.0)
 
 
 def detect_event(

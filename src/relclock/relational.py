@@ -109,15 +109,23 @@ def _kron_stack(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     return out.reshape(nt, da * db, da * db)
 
 
-def _system_projectors(q_projs: Sequence[np.ndarray], space: HilbertSpace, n_clock: int) -> np.ndarray:
+def _system_projectors(
+    q_projs: Sequence[np.ndarray] | ProjectorFamily, space: HilbertSpace, n_clock: int
+) -> np.ndarray:
     """Accept system-factor projectors, or full-space ones acting trivially on
     the clock, and return the (m, d, d) stack of hermitized system-factor
     matrices.  Members are checked in order, each for its shape (or clock
     embedding), hermiticity and idempotency, and the first failing member
-    raises its first failed check."""
+    raises its first failed check.  A ``ProjectorFamily`` on the system factor
+    was hermitized and checked, to the tighter ``TOL_PROJ``, when it was
+    built: its read-only stack is returned as it is."""
     tol = 1e-8
     d_full = space.total_dim
     d_sys = d_full // n_clock
+    if isinstance(q_projs, ProjectorFamily):
+        if q_projs.dim == d_sys:
+            return q_projs._stack
+        q_projs = q_projs.projectors
     blocks, structural = [], None
     for q in q_projs:
         q = np.asarray(q, dtype=complex)
@@ -393,8 +401,6 @@ def conditional_probabilities(
     built from the state rotated once into that basis, and
     p = Tr(Q~ K) / Tr K.  Without h, V = I and lambda = 0.
     """
-    if isinstance(projectors, ProjectorFamily):
-        projectors = projectors.projectors
     n_cl, d_sys = _split_space(rho, clock)
     sys_projs = _system_projectors(projectors, rho.space, n_cl)
     t_grid = clock._t_grid(t_grid)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -385,6 +385,11 @@ class ProjectorFamily:
     @property
     def dim(self) -> int:
         return self.projectors[0].shape[0] if self.projectors else 0
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """The members as one read-only (m, d, d) array."""
+        return _freeze(self.projectors)
 
     def __len__(self) -> int:
         return len(self.projectors)

@@ -286,6 +286,58 @@ class TestDefaultGridTables:
         assert tables <= retained <= tables + 32768
 
 
+class TestReadingTable:
+    """|psi(x, t)|^2 on the default grid, built once per clock while nt n fits
+    one chunk; the reading densities on that grid sum its window rows."""
+
+    @pytest.mark.parametrize(
+        "clock",
+        [
+            TestDefaultGridTables.clock(),
+            rc.build_free_particle_clock(256, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0),
+            rc.build_ideal_clock(48, tau=4.0),
+        ],
+        ids=["perfbench", "readme-256", "ideal"],
+    )
+    def test_bitwise_equal_to_the_same_grid_passed(self, clock):
+        t_values = [0.7, 1.3, 2.0]
+        table = clock._default_readings
+        assert table.shape == (clock.n, clock._t_grid(None).size)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        # the explicit grid is a fresh array, so its masses are evolved chunk by chunk
+        cached = rc.clock_densities(clock, t_values)
+        evolved = rc.clock_densities(clock, t_values, clock.default_t_grid())
+        for a, b in zip(cached, evolved):
+            assert np.array_equal(a.density, b.density)
+            assert (a.weight, a.norm_check) == (b.weight, b.norm_check)
+        one = rc.clock_density(clock, t_values[1])
+        assert np.array_equal(one.density, rc.clock_density(clock, t_values[1], clock.default_t_grid()).density)
+        assert np.array_equal(one.density, cached[1].density)
+        assert clock._default_readings is table
+
+    def test_ambiguity_width_is_unchanged(self):
+        clock = TestDefaultGridTables.clock()
+        rho = clock.rho0.tensor(rc.DensityOperator.from_vector(np.array([0.6, 0.8j]), (2,)))
+        family = rc.projector_family(rc.Observable.from_matrix(rc.SIGMA_Z))
+        for t0 in (0.8, 1.9):
+            rec = rc.detect_event(rho, family, clock, t0, 10, 0.3)
+            width = rc.clock_density(clock, t0, clock.default_t_grid()).std()
+            assert rec.metadata["clock_ambiguity_width"] == width
+
+    def test_no_table_above_one_chunk(self):
+        # README clock at n = 16384: 104 x 16384 entries exceed the 2^20-entry chunk budget
+        clock = rc.build_free_particle_clock(16384, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+        grid = clock._t_grid(None)
+        assert grid.size * clock.n > rc.clocks._CHUNK_ENTRIES
+        density = rc.clock_density(clock, 2.0)
+        assert clock._default_readings is None
+        psi_t = clock.evolve_state(grid[[0, 50, 103]])
+        mass = np.sum(np.abs(psi_t[clock._window_mask(2.0)]) ** 2, axis=0)
+        np.testing.assert_allclose(density.density[[0, 50, 103]] * density.weight, mass, rtol=0.0, atol=1e-12)
+
+
 class TestGaussianDensity:
     def test_symmetric_density_moments(self):
         grid = np.linspace(0.0, 6.0, 1201)

@@ -361,6 +361,118 @@ class TestFusedDetection:
         assert rc.detect_event(rho, family, free_clock, 1.5, 10, 0.3, h).distinguishability == d
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("this branch must not run")
+
+
+class TestConservedDetection:
+    """A pair of members that commute with h has P(t) = P, and ``detect_event``
+    takes the nuclear norm of the off-diagonal block of rho_mod."""
+
+    T0 = 1.5
+
+    @staticmethod
+    def case(rng, d, rank, h_kind):
+        # h = sigma_z (x) I, or a random h diagonal in the family's random basis
+        basis = np.eye(d, dtype=complex) if h_kind == "sigma_z" else oracles.random_unitary(rng, d)
+        p = basis[:, :rank] @ basis[:, :rank].conj().T
+        family = rc.ProjectorFamily(labels=("in", "out"), projectors=(p, np.eye(d) - p))
+        if h_kind == "none":
+            return family, None
+        if h_kind == "sigma_z":
+            return family, rc.Observable.from_matrix(np.kron(rc.SIGMA_Z, np.eye(d // 2)))
+        return family, rc.Observable.from_matrix(basis @ np.diag(rng.normal(size=d)) @ basis.conj().T)
+
+    @staticmethod
+    def state(rng, clock, d, k):
+        # entangled with the clock: a random Gram factor of rank k on the full space
+        f = rng.normal(size=(clock.n * d, k)) + 1j * rng.normal(size=(clock.n * d, k))
+        return rc.DensityOperator.from_factor(f / np.linalg.norm(f), (clock.n, d))
+
+    def check_branches(self, clock, rho, family, h):
+        t_grid = clock._t_grid(None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rc.events, "_pinching_gap", refuse)
+            d, probs = rc.events._event_gap(rho, family, clock, self.T0, h, t_grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rc.events, "_conserved", lambda family, h: False)
+            d_general, probs_general = rc.events._event_gap(rho, family, clock, self.T0, h, t_grid)
+        assert abs(d - d_general) <= 1e-12
+        np.testing.assert_allclose(probs, probs_general, rtol=0.0, atol=1e-12)
+        # the two-state branch: both conditioned states, compared densely
+        modified = rc.rho_mod(rho, clock, self.T0, h, picture="heisenberg")
+        pinched = rc.rho_event(rho, family, clock, self.T0, h, picture="heisenberg")
+        assert abs(d - rc.distinguishability(modified, pinched)) <= 1e-12
+        want = rc.conditional_probabilities(rho, family, clock, self.T0, h)
+        np.testing.assert_allclose(probs, want, rtol=0.0, atol=1e-12)
+        return d
+
+    @pytest.mark.parametrize("h_kind", ["none", "sigma_z", "diagonal"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d, rank", [(2, 1), (4, 1), (4, 2)])
+    def test_matches_the_general_and_the_dense_branch(self, free_clock, rng, d, rank, k, h_kind):
+        # nt = 70 on 128 nodes: Y_a has 128 rank rows for 70 k columns, so it is
+        # tall (QR) at k = 1 and wide (taken as it is) at k = 3
+        family, h = self.case(rng, d, rank, h_kind)
+        rho = self.state(rng, free_clock, d, k)
+        d_fast = self.check_branches(free_clock, rho, family, h)
+        assert rc.detect_event(rho, family, free_clock, self.T0, 10, 0.3, h).distinguishability == d_fast
+
+    @pytest.mark.parametrize("d, rank", [(2, 1), (4, 1), (4, 2)])
+    def test_row_blocks(self, free_clock, rng, monkeypatch, d, rank):
+        # a small chunk splits each tall Y_a into several blocks of clock nodes
+        family, h = self.case(rng, d, rank, "diagonal")
+        rho = self.state(rng, free_clock, d, 1)
+        whole, _ = rc.events._event_gap(rho, family, free_clock, self.T0, h, free_clock._t_grid(None))
+        monkeypatch.setattr(rc.events, "_CHUNK_ENTRIES", 4096)
+        blocks, blocked_r = [], rc.events._blocked_r
+
+        def counting(n, d_rows, m, rows_of):
+            starts = []
+            r = blocked_r(n, d_rows, m, lambda start, b: starts.append(start) or rows_of(start, b))
+            blocks.append((d_rows, len(starts)))
+            return r
+
+        monkeypatch.setattr(rc.events, "_blocked_r", counting)
+        d_fast = self.check_branches(free_clock, rho, family, h)
+        # the first two calls are the conserved branch's, one per isometry
+        assert [b[0] for b in blocks[:2]] == [rank, d - rank]
+        assert all(b[1] > 1 for b in blocks[:2])
+        assert abs(d_fast - whole) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("coupling, conserved", [(0.5, True), (1.5, False)])
+    def test_commutator_tolerance(self, free_clock, rng, monkeypatch, scale, coupling, conserved):
+        # ||[P_up, h]|| = coupling 1e-12 scale against the bound 1e-12 max(1, ||h||)
+        h = rc.Observable.from_matrix(scale * (rc.SIGMA_Z + coupling * 1e-12 * rc.SIGMA_X))
+        family = fixtures.pointer_family_z()
+        rho = self.state(rng, free_clock, 2, 1)
+        assert rc.events._conserved(family, h) is conserved
+        monkeypatch.setattr(rc.events, "_pinching_gap" if conserved else "_off_diagonal_gap", refuse)
+        rec = rc.detect_event(rho, family, free_clock, self.T0, 10, 0.3, h)
+        monkeypatch.undo()
+        # h differs from a multiple of sigma_z, which leaves d as it is without h, by 1e-12
+        plain = rc.detect_event(rho, family, free_clock, self.T0, 10, 0.3)
+        assert abs(rec.distinguishability - plain.distinguishability) <= 1e-9
+
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_other_families_take_the_general_branch(self, free_clock, rng, monkeypatch, members):
+        # a random h does not commute with a pair; three members never take the shortcut
+        d = 4
+        basis = oracles.random_unitary(rng, d)
+        cuts = [0, 1, d] if members == 2 else [0, 1, 2, d]
+        projectors = [basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(cuts, cuts[1:])]
+        family = rc.ProjectorFamily(labels=tuple(range(members)), projectors=tuple(projectors))
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, d)) if members == 2 else None
+        rho = self.state(rng, free_clock, d, 1)
+        monkeypatch.setattr(rc.events, "_off_diagonal_gap", refuse)
+        rec = rc.detect_event(rho, family, free_clock, self.T0, 10, 0.3, h)
+        monkeypatch.undo()
+        modified = rc.rho_mod(rho, free_clock, self.T0, h, picture="heisenberg")
+        pinched = rc.rho_event(rho, family, free_clock, self.T0, h, picture="heisenberg")
+        assert abs(rec.distinguishability - rc.distinguishability(modified, pinched)) <= 1e-12
+
+
 class TestDenseDetection:
     """``detect_event`` on a dense input compares the two conditioned states."""
 

@@ -112,6 +112,21 @@ def test_detect_event_on_a_16384_node_clock(pure_16384):
     assert not rec.event_occurred
 
 
+def test_detect_event_on_a_dephased_qubit_at_16384_nodes(pure_16384):
+    # a mixed qubit enters with a rank-2 factor, so Y has 208 columns; each
+    # pointer range's R factor comes from a QR over blocks of clock nodes
+    clock, _ = pure_16384
+    dephased = rc.DensityOperator.from_matrix(np.array([[0.5, 0.2], [0.2, 0.5]]), (2,))
+    rho = clock.rho0.tensor(dephased)
+    assert rho.factor.shape[1] == 2
+    family = fixtures.pointer_family_z()
+    rec, peak = traced_peak_mb(lambda: rc.detect_event(rho, family, clock, T0, n_particles=10, alpha=0.3))
+    assert peak <= LIMIT_MB
+    # product input, no system Hamiltonian: d is the system coherence |rho_01|
+    assert rec.distinguishability == pytest.approx(0.2, abs=1e-9)
+    assert not rec.event_occurred
+
+
 def test_factored_state_on_a_16384_node_clock():
     clock = rc.build_free_particle_clock(16384, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
     h = rc.Observable.from_matrix(rc.SIGMA_Z)

@@ -183,6 +183,27 @@ class TestProjectorChecks:
         with pytest.raises(rc.ValidationError, match="^supplied operator is not a projector$"):
             self.call(name, rho, free_clock, [P_UP, 0.5 * I2, np.eye(3)], h_z)
 
+    def test_a_system_family_is_taken_as_built(self, free_clock, h_z, rng, monkeypatch):
+        # the family hermitized and checked its members when it was built
+        rho = product_state(free_clock, qubit_state(rng, "factored"), "factored")
+        family = rc.projector_family(rc.Observable.from_matrix(rc.SIGMA_X))
+        want = rc.conditional_probabilities(rho, list(family.projectors), free_clock, 1.0, h_system=h_z)
+        stack = rc.relational._system_projectors(family, rho.space, free_clock.n)
+        assert stack is family._stack and not stack.flags.writeable
+
+        def refuse(*args):
+            raise AssertionError("a family member was checked again")
+
+        monkeypatch.setattr(rc.relational, "_norm_exceeds", refuse)
+        assert np.array_equal(rc.conditional_probabilities(rho, family, free_clock, 1.0, h_system=h_z), want)
+
+    def test_a_full_space_family_keeps_every_check(self, free_clock, h_z, rng):
+        rho = product_state(free_clock, qubit_state(rng, "factored"), "factored")
+        half = np.kron(np.diag(np.arange(free_clock.n) < free_clock.n // 2).astype(complex), I2)
+        family = rc.ProjectorFamily(labels=("early", "late"), projectors=(half, np.eye(half.shape[0]) - half))
+        with pytest.raises(rc.ValidationError, match="^projector acts on the clock factor$"):
+            rc.conditional_probabilities(rho, family, free_clock, 1.0, h_system=h_z)
+
     def test_full_space_members_give_the_system_factor(self, free_clock, h_z, rng):
         rho = product_state(free_clock, qubit_state(rng, "factored"), "factored")
         full = [np.kron(np.eye(free_clock.n), q) for q in (P_UP, I2 - P_UP)]
