@@ -246,6 +246,12 @@ class ClockModel:
             return None
         return _freeze(np.abs(self.evolve_state(t)) ** 2, None)
 
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """The n-th roots of unity exp(-2 pi i q / n), q = 0 ... n - 1: every
+        entry of the grid's DFT matrix is one of them."""
+        return _freeze(np.exp((-2j * np.pi / self.n) * np.arange(self.n)), None)
+
     def _t_grid(self, t_grid: np.ndarray | None) -> np.ndarray:
         """``t_grid`` as a float array, or the cached default grid for None."""
         return self._default_grid if t_grid is None else np.asarray(t_grid, dtype=float)

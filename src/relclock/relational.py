@@ -63,31 +63,32 @@ def _energy_basis_stack(
     with tilde the energy-basis matrix of ``op``.  Every map here that commutes
     with ad_H (unitary evolution, the dephasing master equation, a mixture
     over times) is such an elementwise factor on energy-basis entries.  With
-    ``weights`` the factors are summed over times, sum_t weights_t exp(...),
-    and one matrix is returned instead of the stack: the sum walks t-chunks of
-    at most ``_CHUNK_ENTRIES`` factor entries, and a stack that fits one chunk
-    is summed by a single ``tensordot``."""
+    ``weights`` (and no ``db``) the factors are summed over times and one
+    matrix is returned instead of the stack:
+
+        sum_t weights_t exp(-i omega_mn t) = (U^T diag(weights) U^*)_mn,
+
+    with U_tm = e^{-i lambda_m t}: nt d exponentials and a (d, nt) x (nt, d)
+    product per t-chunk of at most ``_CHUNK_ENTRIES`` entries of U."""
     v = h.eigenvectors
-    # tilde before the exponent: a complex exp issued directly after a BLAS
-    # call ran several times slower (OpenBLAS 0.3.31 Haswell kernels, x86-64)
-    tilde = v.conj().T @ op @ v
     lam = h.eigenvalues
-    omega = lam[:, None] - lam[None, :]
-
-    def factors(sl: slice) -> np.ndarray:
-        exponent = -1j * times[sl, None, None] * omega
-        if db is not None:
-            exponent -= db[sl, None, None] * omega**2
-        return np.exp(exponent, out=exponent)
-
-    if weights is None:
-        factor = factors(slice(None))
+    if weights is not None:
+        step = max(1, _CHUNK_ENTRIES // lam.size)
+        factor = np.zeros((lam.size, lam.size), dtype=complex)
+        for start in range(0, times.size, step):
+            sl = slice(start, start + step)
+            u = np.exp(-1j * np.outer(times[sl], lam))
+            factor += (u.T * weights[sl]) @ u.conj()
+        tilde = v.conj().T @ op @ v
     else:
-        step = max(1, _CHUNK_ENTRIES // omega.size)
-        chunks = [slice(start, start + step) for start in range(0, times.size, step)]
-        factor = np.tensordot(weights[chunks[0]], factors(chunks[0]), axes=1)
-        for sl in chunks[1:]:
-            factor += np.tensordot(weights[sl], factors(sl), axes=1)
+        # tilde before the exponent: a complex exp issued directly after a BLAS
+        # call ran several times slower (OpenBLAS 0.3.31 Haswell kernels, x86-64)
+        tilde = v.conj().T @ op @ v
+        omega = lam[:, None] - lam[None, :]
+        exponent = -1j * times[:, None, None] * omega
+        if db is not None:
+            exponent -= db[:, None, None] * omega**2
+        factor = np.exp(exponent, out=exponent)
     return v @ (tilde * factor) @ v.conj().T
 
 
@@ -167,12 +168,11 @@ def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
     return clock.n, math.prod(dims[1:])
 
 
-def _window_dft(n: int, mask: np.ndarray) -> np.ndarray:
+def _window_dft(clock: ClockModel, mask: np.ndarray) -> np.ndarray:
     """fft(E)^T for the isometry E onto the grid nodes j in ``mask``: the r DFT
-    rows exp(-2 pi i j m / n), built in O(n r) memory.  j m is reduced mod n
-    in integers, so every phase is taken at an angle below 2 pi."""
-    nodes = np.flatnonzero(mask)
-    return np.exp((-2j * np.pi / n) * (np.outer(nodes, np.arange(n)) % n))
+    rows exp(-2 pi i j m / n), built in O(n r) memory.  Each is a root of unity
+    of the clock, gathered at the index j m mod n."""
+    return clock._roots[np.outer(np.flatnonzero(mask), np.arange(clock.n)) % clock.n]
 
 
 def _window_cores(
@@ -195,7 +195,7 @@ def _window_cores(
     - ``"core"``: core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I), with the entry
       [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where
       the Heisenberg-evolved full-space window takes (n d)^2;
-    - ``"traced"``: the d x d marginal Tr_r core[t];
+    - ``"traced"`` (dense states only): the d x d marginal Tr_r core[t];
     - ``"rows"`` (Gram-factored states only): (W(t) (x) I) F with its rows
       (i, a) and columns j at axes (a, j, i), of shape (c, d k, n).
 
@@ -208,9 +208,9 @@ def _window_cores(
     O(n^2 r d^2) per time.  A Gram factor F has A = F and B = F^dagger, so
     R(t) = L(t)^dagger.  L(t), held as (c, d k, r), transforms the narrower
     operand: with d k <= r it is the window columns of F^T's clock index
-    evolved by one FFT per time, at O(k d n log n), and needs no ``e`` for a
-    marginal or rows (``e`` is then None); otherwise it is F^T conj(e[t])^T,
-    one matmul after evolving e's r rows.
+    evolved by one FFT per time, at O(k d n log n), and needs no ``e`` for
+    rows; otherwise it is F^T conj(e[t])^T, one matmul after evolving e's r
+    rows.  A factored state's marginal is ``_factor_kernel``'s.
     """
     n = clock.n
     d = rho.dim // n
@@ -236,10 +236,9 @@ def _window_cores(
         if fft_rows:
             f_hat = np.ascontiguousarray(np.fft.fft(f))
         with_e = form == "core" or not fft_rows
-        per_time = n * d * k + (n * r if with_e else 0)
-        per_time += (r * d) ** 2 if form == "core" else d * d if form == "traced" else 0
+        per_time = n * d * k + (n * r if with_e else 0) + ((r * d) ** 2 if form == "core" else 0)
     if with_e:
-        e0 = _window_dft(n, mask)
+        e0 = _window_dft(clock, mask)
     step = max(1, _CHUNK_ENTRIES // max(1, per_time))
     for start in range(0, t_grid.size, step):
         sl = slice(start, min(start + step, t_grid.size))
@@ -268,13 +267,79 @@ def _window_cores(
             if form == "rows":
                 yield sl, e, left @ e
                 continue
-        if form == "traced":
-            left = left.reshape(c, d, k * r)
-            yield sl, e, left @ left.conj().transpose(0, 2, 1)
+        flat = left.reshape(c, d, k, r).transpose(0, 3, 1, 2).reshape(c, r * d, k)
+        core = flat @ flat.conj().transpose(0, 2, 1)
+        yield sl, e, core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
+
+
+# flop rate of the matmul route over the FFT route, set from the README clock
+# (numpy 2.4 pocketfft, OpenBLAS, x86-64): the routes took equal times at
+# r / log2 n = 6.8 on two OpenBLAS threads and 5.0 on one, so the rate sits
+# below both: on a loaded two-core host the second thread is not always there
+_MATMUL_FLOP_RATE = 7.0
+
+
+def _rows_by_matmul(n: int, r: int) -> bool:
+    """Whether ``_factor_kernel`` takes a factor's window rows by one matmul
+    with the r window DFT columns, at 8 n r real flops per column and time,
+    rather than by an FFT of each column, at about 5 n log2 n.  The matmul
+    ran at about ``_MATMUL_FLOP_RATE`` times the FFT's flop rate, so the
+    routes cross near r = 4.4 log2 n."""
+    return 8 * r <= _MATMUL_FLOP_RATE * 5 * math.log2(n)
+
+
+def _factor_kernel(
+    f: np.ndarray,
+    clock: ClockModel,
+    mask: np.ndarray,
+    t_grid: np.ndarray,
+    scale: np.ndarray,
+    basis: np.ndarray | None,
+) -> np.ndarray:
+    """K = sum_t L(t) L(t)^dagger for a Gram factor F (shape (n d, k)), with
+    L(t) the d x (k r) window rows of e^{-iH_c t} F and its row a scaled by
+    ``scale[t, a]``^*; a unitary ``basis`` V runs this on (I (x) V^dagger) F.
+    The kernel works with X(t) = conj(L(t)): with
+    f = conj(fft(F^T)) / n along the clock index, X(t) is the window entries
+    of fft(P_t (.) f), P_t = e^{i dispersion t} from ``clock._phases``.  For
+    all times of a t-chunk that is one matmul per column of F, of its (r, n)
+    table f (.) fft(E)^T with the chunk's P^T; where ``_rows_by_matmul`` says
+    FFTs win, each time takes the FFT of its d k columns instead.  Returns
+    K = conj(sum_t X(t) X(t)^dagger)."""
+    n = clock.n
+    d = f.shape[0] // n
+    k = f.shape[1]
+    r = int(np.count_nonzero(mask))
+    # F^T, rows (a, k) and the clock index last and contiguous, rotated by one
+    # (d, d) x (d, k n) product; then conj(fft(F^T)) / n
+    f_t = np.ascontiguousarray(f.reshape(n, d * k).T)
+    if basis is not None:
+        f_t = (basis.conj().T @ f_t.reshape(d, k * n)).reshape(d * k, n)
+    f_bar = np.fft.ifft(f_t.conj())
+    matmul = _rows_by_matmul(n, r)
+    if matmul:
+        # (d k, r, n): the conjugated window DFT columns of each column of F
+        g = f_bar[:, None, :] * _window_dft(clock, mask)
+    per_time = n + (d * k * r if matmul else d * k * n)
+    step = max(1, _CHUNK_ENTRIES // per_time)
+    kernel = np.zeros((d, d), dtype=complex)
+    for start in range(0, t_grid.size, step):
+        sl = slice(start, min(start + step, t_grid.size))
+        phase = clock._phases(t_grid, sl)
+        c = phase.shape[0]
+        if matmul:
+            # one (r, n) x (n, c) product per column of F: OpenBLAS ran a product
+            # of 2^16 or more multiply-adds on two threads, and on a two-core host
+            # with the other core busy such a call (20 x 128 x 49) took 16 ms
+            # against 44 us when split, while these stay below it up to n = 128
+            x = (g @ phase.T).reshape(d, k * r, c)
         else:
-            flat = left.reshape(c, d, k, r).transpose(0, 3, 1, 2).reshape(c, r * d, k)
-            core = flat @ flat.conj().transpose(0, 2, 1)
-            yield sl, e, core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
+            x = np.fft.fft(phase[:, None, :] * f_bar)[:, :, mask]
+            x = x.reshape(c, d, k * r).transpose(1, 2, 0)
+        x *= scale[sl].T[:, None, :]
+        x = x.reshape(d, k * r * c)
+        kernel += x @ x.conj().T
+    return kernel.conj()
 
 
 def _window_factor(
@@ -399,8 +464,25 @@ def conditional_probabilities(
         K = sum_t w_t u_t M~(t) u_t^*,   M~(t) = V^dagger M(t) V,
 
     built from the state rotated once into that basis, and
-    p = Tr(Q~ K) / Tr K.  Without h, V = I and lambda = 0.
+    p = Tr(Q~ K) / Tr K.  Without h, V = I and lambda = 0.  For a Gram
+    factor F, M~(t) = L(t) L(t)^dagger with L(t) the window rows of the
+    clock-evolved (I (x) V^dagger) F, and K is one Gram product of those
+    rows scaled by sqrt(w_t) u_t (``_factor_kernel``).
     """
+    return _conditional_probabilities(rho, projectors, clock, t0, h_system, t_grid)
+
+
+def _conditional_probabilities(
+    rho: DensityOperator,
+    projectors: Sequence[np.ndarray] | ProjectorFamily,
+    clock: ClockModel,
+    t0: float,
+    h_system: Observable | None,
+    t_grid: np.ndarray | None,
+    half_width: float | None = None,
+) -> np.ndarray:
+    """``conditional_probabilities`` on the window of half-width ``half_width``
+    (default the clock's delta_c) around ``t0``."""
     n_cl, d_sys = _split_space(rho, clock)
     sys_projs = _system_projectors(projectors, rho.space, n_cl)
     t_grid = clock._t_grid(t_grid)
@@ -409,23 +491,32 @@ def conditional_probabilities(
         v, lam = np.eye(d_sys, dtype=complex), np.zeros(d_sys)
     else:
         v, lam = h_system.eigenvectors, h_system.eigenvalues
+    mask = clock._window_mask(t0, half_width)
 
-    kernel = np.zeros((d_sys, d_sys), dtype=complex)
-    for sl, _, m in _window_cores(rho, clock, clock._window_mask(t0), t_grid, "traced", v):
-        # u_t as a d-vector: d exponentials per time, not d^2
-        u = np.exp(-1j * np.outer(t_grid[sl], lam))
-        m *= u.conj()[:, None, :]
-        m *= (w[sl, None] * u)[:, :, None]
-        kernel += m.sum(axis=0)
+    if rho.factor is None:
+        kernel = np.zeros((d_sys, d_sys), dtype=complex)
+        for sl, _, m in _window_cores(rho, clock, mask, t_grid, "traced", v):
+            # u_t as a d-vector: d exponentials per time, not d^2
+            u = np.exp(-1j * np.outer(t_grid[sl], lam))
+            m *= u.conj()[:, None, :]
+            m *= (w[sl, None] * u)[:, :, None]
+            kernel += m.sum(axis=0)
+    else:
+        # sqrt(w_t) u_t^*, taken before any BLAS call: a complex exp issued
+        # right after one ran several times slower (OpenBLAS 0.3.31, x86-64)
+        scale = np.exp(1j * np.outer(t_grid, lam))
+        scale *= np.sqrt(w)[:, None]
+        kernel = _factor_kernel(rho.factor, clock, mask, t_grid, scale, None if h_system is None else v)
     den = float(kernel.trace().real)
     if den <= 0.0:
         raise UnreachableReadingError(f"clock never reads {t0} on this state: normalization {den}")
     # Tr(Q~ K) = Tr(Q V K V^dagger): one rotation back for the whole family
     kernel = v @ kernel @ v.conj().T
     values = np.einsum("iab,ba->i", sys_projs, kernel).real / den
-    if np.any(values < -1e-8) or np.any(values > 1.0 + 1e-8):
+    if ((values < -1e-8) | (values > 1.0 + 1e-8)).any():
         raise ArithmeticError(f"conditional probability left [0, 1]: {values}")
-    return np.clip(values, 0.0, 1.0)
+    # np.clip's bounds with two ufunc calls, a few microseconds less per query
+    return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
 def conditional_probability(
@@ -468,22 +559,87 @@ class Trajectory:
     def to_csv(self, path) -> None:
         d = self.states[0].dim
         cols = ["T"] + [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
-        # viewed as float64, each complex128 matrix is its (re, im) pairs in row-major order
-        entries = np.stack([st.matrix for st in self.states]).view(np.float64).reshape(len(self), -1)
-        table = np.column_stack([self.times, entries])
-        _write_csv(path, cols, table, comment="# row-major matrix entries: re_i_j, im_i_j")
+        comment = "# row-major matrix entries: re_i_j, im_i_j"
+        stack = np.stack([st.matrix for st in self.states])
+        # below about 1024 entries the pairing's set-up (~0.2 ms) costs more
+        # than formatting every entry: 4 qubit states took 0.39 ms against 0.11 ms
+        lines = _hermitian_lines(self.times, stack) if stack.size >= 1024 else None
+        if lines is None:
+            # viewed as float64, each complex128 matrix is its (re, im) pairs in row-major order
+            entries = stack.view(np.float64).reshape(len(self), -1)
+            _write_csv(path, cols, np.column_stack([self.times, entries]), comment)
+        else:
+            _write_lines(path, cols, lines, comment)
+
+
+def _hermitian_lines(times: np.ndarray, stack: np.ndarray):
+    """The rows of ``Trajectory.to_csv`` as text, with ``repr`` taken once per
+    Hermitian pair: below the diagonal, re_j_i reuses the string of re_i_j,
+    and im_j_i that of im_i_j with its sign flipped.  A zero im_i_j is the
+    exception, since its mirror may be 0.0 or -0.0: that entry is formatted
+    itself.  None unless the stack mirrors bit for bit in this way, with +0.0
+    on the imaginary diagonal, as every hermitized state does; the rows then
+    equal ``_write_csv``'s byte for byte.  They are formatted a block of about
+    4096 entries at a time, so the text is never held whole."""
+    n, d, _ = stack.shape
+    up_i, up_j = np.triu_indices(d)  # the upper triangle with the diagonal
+    s_i, s_j = np.triu_indices(d, 1)
+    q, s = up_i.size, s_i.size
+    bits = stack.view(np.uint64).reshape(n, d, d, 2)
+    above, below = bits[:, s_i, s_j], bits[:, s_j, s_i]
+    zero = stack.imag[:, s_i, s_j] == 0.0
+    if not (
+        np.array_equal(above[..., 0], below[..., 0])
+        and np.all(zero | (below[..., 1] == above[..., 1] ^ np.uint64(1 << 63)))
+        and not np.any(bits[:, np.arange(d), np.arange(d), 1])
+    ):
+        return None
+    # a row's strings are T, the upper re, the upper im, the mirrored im and "0.0";
+    # ``cols`` puts them in the order of the header
+    re_col = np.empty((d, d), dtype=np.int64)
+    re_col[up_i, up_j] = re_col[up_j, up_i] = 1 + np.arange(q)
+    im_col = np.full((d, d), 1 + q + 2 * s)
+    im_col[s_i, s_j] = 1 + q + np.arange(s)
+    im_col[s_j, s_i] = 1 + q + s + np.arange(s)
+    cols = np.zeros(1 + 2 * d * d, dtype=np.int64)
+    cols[1::2], cols[2::2] = re_col.ravel(), im_col.ravel()
+    step = max(1, 4096 // (d * d))
+
+    def blocks():
+        for start in range(0, n, step):
+            m, c = stack[start : start + step], min(step, n - start)
+            im = list(map(repr, m.imag[:, s_i, s_j].ravel().tolist()))
+            mirrored = [t[1:] if t[0] == "-" else "-" + t for t in im]
+            for at in np.flatnonzero(zero[start : start + step]):
+                mirrored[at] = repr(float(m.imag[at // s, s_j[at % s], s_i[at % s]]))
+            table = np.empty((c, 2 + q + 2 * s), dtype=object)
+            table[:, 0] = list(map(repr, times[start : start + step].tolist()))
+            re = list(map(repr, m.real[:, up_i, up_j].ravel().tolist()))
+            table[:, 1 : 1 + q] = np.array(re, dtype=object).reshape(c, q)
+            table[:, 1 + q : 1 + q + s] = np.array(im, dtype=object).reshape(c, s)
+            table[:, 1 + q + s : 1 + q + 2 * s] = np.array(mirrored, dtype=object).reshape(c, s)
+            table[:, -1] = "0.0"
+            yield from (",".join(row) for row in table[:, cols].tolist())
+
+    return blocks()
 
 
 def _write_csv(path, header: list[str], table, comment: str | None = None) -> None:
     """Write a float table row by row: an optional comment line, the header,
     then each value as ``repr`` of a Python float, which reads back to the
     same double."""
+    lines = (",".join(map(repr, row.tolist())) for row in np.asarray(table, dtype=float))
+    _write_lines(path, header, lines, comment)
+
+
+def _write_lines(path, header: list[str], lines, comment: str | None = None) -> None:
+    """Write an optional comment line, the header, then the formatted rows."""
     with open(path, "w", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(comment + "\n")
         fh.write(",".join(header) + "\n")
-        for row in np.asarray(table, dtype=float):
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def newtonian_trajectory(rho0: DensityOperator, h: Observable, t_grid: np.ndarray) -> Trajectory:
@@ -708,7 +864,8 @@ def history_probability(
     total = 1.0
     state = rho
     for i, e in enumerate(events):
-        p = conditional_probability(state, e.q_proj, clock, e.t0, h_system, t_grid)
+        # the factor conditions on the event's own window, as its reduction does
+        p = float(_conditional_probabilities(state, [e.q_proj], clock, e.t0, h_system, t_grid, e.delta)[0])
         total *= p
         if total == 0.0:
             return 0.0

@@ -8,8 +8,9 @@ would take 16 GiB, while its conditioned state stays a factor of nt columns
 and ``detect_event`` builds no state at all.  A probability on a large
 system (the qubit and an 8-spin register, d = 512) is one d x d kernel in the
 Hamiltonian's eigenbasis, where a Heisenberg stack of the projector would take
-416 MiB, and its reading-density reference ``effective_projector`` sums that
-stack over t-chunks without holding it.  The reading densities of several readings come from one clock
+416 MiB, and its reading-density reference ``effective_projector`` takes its
+weighted sum from an (nt, d) table of phases e^{-i lambda t} without that
+stack.  The reading densities of several readings come from one clock
 evolution walked over t-chunks.  No timing is asserted.  Each test also
 checks its result through an independent path, since at these sizes the
 kernel walks the time grid in several chunks.  The spin-register oracle walks
@@ -62,6 +63,22 @@ def test_conditional_probability_peak(readme_case):
     p, peak = traced_peak_mb(lambda: rc.conditional_probability(rho, PLUS, clock, T0, h_system=h))
     assert peak <= LIMIT_MB
     # product state: the reading-density average of the Heisenberg projector
+    f = rc.effective_projector(PLUS, clock, T0, h_system=h)
+    assert p == pytest.approx(float(np.einsum("ij,ji->", f, PLUS).real), abs=1e-9)
+
+
+def test_factor_kernel_peak_at_256_nodes():
+    # the README rho at n = 256 takes the kernel's matmul route: a (d k r, n)
+    # table and the (d k r, nt) window rows, 0.38 MiB traced once the clock's
+    # tables exist, where an FFT of F's columns per time took 1.6 MiB
+    clock = rc.build_free_particle_clock(256, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+    h = rc.Observable.from_matrix(rc.SIGMA_Z)
+    rho = clock.rho0.tensor(rc.DensityOperator.from_matrix(PLUS, (2,)))
+    assert rc.relational._rows_by_matmul(clock.n, int(np.count_nonzero(clock._window_mask(T0))))
+    first = rc.conditional_probability(rho, PLUS, clock, T0, h_system=h)
+    p, peak = traced_peak_mb(lambda: rc.conditional_probability(rho, PLUS, clock, T0, h_system=h))
+    assert peak <= 0.75
+    assert p == first
     f = rc.effective_projector(PLUS, clock, T0, h_system=h)
     assert p == pytest.approx(float(np.einsum("ij,ji->", f, PLUS).real), abs=1e-9)
 
@@ -177,7 +194,7 @@ def test_register_conditional_probability_peak():
 
 def test_register_effective_projector_peak():
     # d = 512, nt = 104: the whole (nt, d, d) factor stack would take 416 MiB;
-    # the weighted sum walks t-chunks of at most 2^20 entries instead
+    # the weighted sum is U^T diag(w) U^* over the (nt, d) phases U instead
     clock = rc.build_free_particle_clock(256, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
     model = rc.make_incommensurate_model(8)
     lam = np.kron([1.0, -1.0], model.branch_energies())

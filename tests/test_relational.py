@@ -94,8 +94,8 @@ class TestEnergyBasisKernel:
 
     @pytest.fixture(scope="class")
     def clock(self):
-        # 40 nodes, 5 in the window: a factor of d k = 4 columns takes the
-        # kernel's FFT route, one of 8 columns its matmul route
+        # 40 nodes, 5 in the window: factors of d k = 4 and 8 columns
+        # (TestFactorKernel forces each route of the factor kernel)
         clock = rc.build_free_particle_clock(40, mass=30.0, sigma0=0.5, delta_c=0.5, tau=1.5)
         assert np.count_nonzero(clock._window_mask(self.T0)) == 5
         return clock
@@ -125,7 +125,7 @@ class TestEnergyBasisKernel:
         "h_kind, form, rank",
         [("degenerate", "factored", 1), ("degenerate", "factored", 2), ("degenerate", "dense", 2),
          ("none", "factored", 1), ("none", "dense", 2)],
-        ids=["factor-fft", "factor-matmul", "from_matrix", "no-h-factor-fft", "no-h-from_matrix"],
+        ids=["factor-rank1", "factor-rank2", "from_matrix", "no-h-factor-rank1", "no-h-from_matrix"],
     )
     def test_matches_brute_force(self, clock, rng, h_kind, form, rank):
         rho = self.state(rng, clock, rank, form)
@@ -146,6 +146,96 @@ class TestEnergyBasisKernel:
         together = rc.conditional_probabilities(rho, fam, clock, self.T0, h_system=h)
         for q, value in zip(fam.projectors, together):
             assert abs(rc.conditional_probability(rho, q, clock, self.T0, h_system=h) - value) <= 1e-14
+
+
+class TestFactorKernel:
+    """A Gram factor's probability kernel takes its window rows by one matmul
+    of the t-chunk's phase rows with the window DFT columns of F, or, where
+    ``_rows_by_matmul`` says FFTs win, by an FFT of F's columns per time.
+    Each route is forced here through the flop-rate ratio of the rule.  The
+    tests draw from their own generators, so the session generator's draws
+    for the tests after them stay as they were."""
+
+    @staticmethod
+    def force(monkeypatch, route):
+        # an infinite ratio sends every window to the matmul, a negative one even an empty window to the FFTs
+        monkeypatch.setattr(rc.relational, "_MATMUL_FLOP_RATE", math.inf if route == "matmul" else -1.0)
+
+    @staticmethod
+    def factor_state(rng, clock, d, k):
+        # k boosted packets, each entangled with the system: a rank-k Gram factor
+        cols = [oracles.boosted_packet_vector(rng, clock.psi0, clock.x, d) for _ in range(k)]
+        f = np.stack(cols, axis=1)
+        return rc.DensityOperator.from_factor(f / np.linalg.norm(f), (clock.n, d))
+
+    @staticmethod
+    def family(rng, d):
+        u = oracles.random_unitary(rng, d)
+        first = u[:, : d // 2] @ u[:, : d // 2].conj().T
+        return rc.ProjectorFamily(labels=("first", "rest"), projectors=(first, np.eye(d) - first))
+
+    @pytest.mark.parametrize("route", ["matmul", "fft"])
+    @pytest.mark.parametrize(
+        "n, d, k, with_h",
+        # 40 nodes leave 3 in the window, so d k = 4 and 8 are wide factors
+        [(40, 4, 1, True), (40, 4, 2, False), (64, 2, 1, False), (64, 2, 2, True)],
+    )
+    def test_both_routes_match_brute_force(self, monkeypatch, route, n, d, k, with_h):
+        rng = np.random.default_rng(1000 * n + 10 * d + k)
+        clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.5, delta_c=0.35, tau=1.5 if n == 40 else 2.8)
+        self.force(monkeypatch, route)
+        rho = self.factor_state(rng, clock, d, k)
+        h = oracles.random_hermitian(rng, d) if with_h else np.zeros((d, d), dtype=complex)
+        fam = self.family(rng, d)
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        got = rc.conditional_probabilities(
+            rho, fam, clock, 1.0, rc.Observable.from_matrix(h) if with_h else None, t_grid
+        )
+        window = clock.window_projector(1.0)
+        for q, value in zip(fam.projectors, got):
+            want = oracles.brute_conditional_probability(rho.matrix, q, window, clock.h_clock.matrix, h, t_grid)
+            assert value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [40, 64, 128, 256, 2048])
+    def test_routes_agree(self, monkeypatch, n, d, k):
+        rng = np.random.default_rng(1000 * n + 10 * d + k)
+        if n <= 128:
+            clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.5, delta_c=0.35, tau=1.5 if n == 40 else 2.8)
+        else:
+            clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+        rho = self.factor_state(rng, clock, d, k)
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, d))
+        fam = self.family(rng, d)
+        caller_grid = np.linspace(0.0, clock.tau, 23)
+        got = {}
+        for route in ("matmul", "fft"):
+            self.force(monkeypatch, route)
+            got[route] = [rc.conditional_probabilities(rho, fam, clock, 1.2, h, grid) for grid in (None, caller_grid)]
+        for by_matmul, by_fft in zip(got["matmul"], got["fft"]):
+            np.testing.assert_allclose(by_matmul, by_fft, rtol=0, atol=1e-12)
+
+    def test_the_rule_splits_the_readme_clock(self):
+        # README clock windows: 13 nodes at n = 256 take the matmul, 106 at n = 2048 the FFTs
+        for n, matmul in ((256, True), (2048, False)):
+            clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+            r = int(np.count_nonzero(clock._window_mask(2.0)))
+            assert rc.relational._rows_by_matmul(n, r) is matmul
+
+    @pytest.mark.parametrize("route", ["matmul", "fft"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_window_without_grid_nodes_raises(self, monkeypatch, route, k):
+        rng = np.random.default_rng(k)
+        # a window a fifth of the grid spacing wide, centred between two nodes: r = 0
+        clock = rc.build_ideal_clock(48, tau=4.0, delta_c=0.1 * 4.0 / 44)
+        t0 = 10.5 * clock.dx
+        assert not clock._window_mask(t0).any()
+        self.force(monkeypatch, route)
+        g = rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
+        rho = clock.rho0.tensor(rc.DensityOperator.from_factor(g / np.linalg.norm(g), (2,)))
+        with pytest.raises(rc.UnreachableReadingError):
+            rc.conditional_probabilities(rho, [P_UP, I2 - P_UP], clock, t0, rc.Observable.from_matrix(rc.SIGMA_X))
 
 
 class TestProjectorChecks:
@@ -246,11 +336,15 @@ class TestPhysicalTimeState:
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert all(p <= 1.0 + 1e-12 for p in purities)
 
+    @pytest.mark.parametrize("nt", [81, 1201])
     @pytest.mark.parametrize("kind", ["clock", "gaussian"])
-    def test_matches_brute_force_mixture(self, free_clock, rng, kind):
+    def test_matches_brute_force_mixture(self, free_clock, rng, kind, nt):
+        # the 1201-point cases draw from their own generator: the session
+        # generator's later draws stay those of the 81-point cases alone
+        rng = rng if nt == 81 else np.random.default_rng(nt)
         h = oracles.random_hermitian(rng, 4)
         rho0 = rc.DensityOperator.from_matrix(oracles.random_density(rng, 4), (4,))
-        t_grid = np.linspace(0.0, free_clock.tau, 81)
+        t_grid = np.linspace(0.0, free_clock.tau, nt)
         if kind == "clock":
             density = rc.clock_density(free_clock, 1.5, t_grid)
         else:
@@ -259,11 +353,13 @@ class TestPhysicalTimeState:
         want = oracles.brute_physical_time_state(rho0.matrix, h, density.density, t_grid)
         assert np.max(np.abs(got.matrix - want)) <= 1e-12
 
-    def test_effective_projector_matches_brute_heisenberg_average(self, free_clock, rng):
+    @pytest.mark.parametrize("nt", [81, 1201])
+    def test_effective_projector_matches_brute_heisenberg_average(self, free_clock, rng, nt):
+        rng = rng if nt == 81 else np.random.default_rng(nt)  # as in test_matches_brute_force_mixture
         h = oracles.random_hermitian(rng, 4)
         u = oracles.random_unitary(rng, 4)
         q = u[:, :2] @ u[:, :2].conj().T
-        t_grid = np.linspace(0.0, free_clock.tau, 81)
+        t_grid = np.linspace(0.0, free_clock.tau, nt)
         got = rc.effective_projector(q, free_clock, 1.5, rc.Observable.from_matrix(h), t_grid)
         density = rc.clock_density(free_clock, 1.5, t_grid).density
         want = oracles.brute_effective_projector(q, h, density, t_grid)
@@ -502,6 +598,26 @@ class TestHistoryProbability:
         p2 = (P_UP @ r2).trace().real
         assert got == pytest.approx(p1 * p2, abs=1e-10)
 
+    @pytest.mark.parametrize("form", FORMS)
+    def test_each_factor_conditions_on_its_own_window(self, h_x, form):
+        # the perfbench probabilities clock (delta_c = 0.35) with two events of
+        # half-width 0.15: each factor's window is the one its reduction uses
+        rng = np.random.default_rng(15)  # the session generator's later draws stay as they were
+        clock = rc.build_free_particle_clock(64, mass=30.0, sigma0=0.5, delta_c=0.35, tau=2.8)
+        rho = product_state(clock, qubit_state(rng, form), form)
+        events = [rc.ReductionEvent(P_UP, 1.0, 0.15), rc.ReductionEvent(P_UP, 1.8, 0.15)]
+        t_grid = np.linspace(0.0, clock.tau, 25)
+        got = rc.history_probability(rho, clock, events, h_system=h_x, t_grid=t_grid)
+
+        def window(t0):
+            return np.diag(((clock.x >= t0 - 0.15) & (clock.x <= t0 + 0.15)).astype(complex))
+
+        h_c, h_s = clock.h_clock.matrix, h_x.matrix
+        p1 = oracles.brute_conditional_probability(rho.matrix, P_UP, window(1.0), h_c, h_s, t_grid)
+        reduced = oracles.brute_reduce_state(rho.matrix, [(P_UP, 1.0)], window, h_c, h_s, t_grid)
+        p2 = oracles.brute_conditional_probability(reduced, P_UP, window(1.8), h_c, h_s, t_grid)
+        assert got == pytest.approx(p1 * p2, abs=1e-9)
+
     def test_out_of_order_readings_rejected(self, ideal_clock, h_z, rng):
         rho = ideal_clock.rho0.tensor(qubit_state(rng))
         with pytest.raises(ValueError, match="ordered"):
@@ -576,3 +692,72 @@ class TestTrajectoryCsv:
             for k, entry in enumerate(state.matrix.ravel()):
                 assert float(values[1 + 2 * k]) == entry.real
                 assert float(values[2 + 2 * k]) == entry.imag
+
+    @staticmethod
+    def generic_csv(traj, path):
+        # one repr per float, as the writer formatted every entry before Hermitian pairs shared theirs
+        d = traj.states[0].dim
+        cols = ["T"] + [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+        entries = np.stack([st.matrix for st in traj.states]).view(np.float64).reshape(len(traj), -1)
+        table = np.column_stack([traj.times, entries])
+        rc.relational._write_csv(path, cols, table, comment="# row-major matrix entries: re_i_j, im_i_j")
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_hermitian_pairs_give_the_generic_bytes(self, tmp_path, d):
+        rng = np.random.default_rng(d)  # the session generator's later draws stay as they were
+        states = []
+        for k in range(12):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = g @ g.conj().T + 8 * d * np.eye(d)
+            m /= m.trace().real
+            if k % 4 == 0:
+                m = m.real.astype(complex)  # every imaginary part zero
+            elif k % 4 == 1:
+                # signed zeros: -0.0 on both sides of a pair, and 0.0 above -0.0;
+                # hermitizing keeps -0.0 beside a negative real part
+                m[0, d - 1], m[d - 1, 0] = complex(m[0, d - 1].real, -0.0), complex(m[d - 1, 0].real, -0.0)
+                re = -abs(m[0, 1].real)
+                m[0, 1], m[1, 0] = complex(re, 0.0), complex(re, -0.0)
+            elif k % 4 == 2:
+                states.append(rc.DensityOperator.from_vector(g[:, 0], (d,)))  # a Gram factor's matrix
+                continue
+            states.append(rc.DensityOperator.from_matrix(m, (d,)))
+        traj = rc.Trajectory(times=0.1 * np.arange(len(states)), states=tuple(states))
+        self.generic_csv(traj, tmp_path / "generic.csv")
+        text = (tmp_path / "generic.csv").read_bytes()
+        assert b",-0.0," in text and b",0.0," in text
+        # the rows of the pairing itself: to_csv takes it only from 1024 entries on
+        lines = rc.relational._hermitian_lines(traj.times, np.stack([st.matrix for st in traj.states]))
+        assert text.split(b"\n", 2)[2] == "".join(line + "\n" for line in lines).encode()
+        # a long trajectory of these states takes the pairing in to_csv
+        long = rc.Trajectory(times=0.01 * np.arange(30 * len(states)), states=tuple(states) * 30)
+        assert np.stack([st.matrix for st in long.states]).size >= 1024
+        long.to_csv(tmp_path / "shared.csv")
+        self.generic_csv(long, tmp_path / "generic.csv")
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+    def test_a_stack_that_does_not_mirror_takes_the_generic_writer(self):
+        rng = np.random.default_rng(3)
+        m = rc.DensityOperator.from_matrix(oracles.random_density(rng, 3), (3,)).matrix[None].copy()
+        times = np.zeros(1)
+        assert rc.relational._hermitian_lines(times, m) is not None
+        m[0, 2, 0] = np.nextafter(m[0, 2, 0].real, 1.0) + 1j * m[0, 2, 0].imag
+        assert rc.relational._hermitian_lines(times, m) is None
+
+    def test_preset_trajectories_give_the_generic_bytes(self, tmp_path, monkeypatch):
+        from relclock import cli
+
+        shared = rc.Trajectory.to_csv
+        written = []
+
+        def both(traj, path):
+            shared(traj, path)
+            self.generic_csv(traj, tmp_path / "generic.csv")
+            assert open(path, "rb").read() == (tmp_path / "generic.csv").read_bytes()
+            written.append(path)
+
+        monkeypatch.setattr(rc.Trajectory, "to_csv", both)
+        for preset in ("conditional_identity", "qubit_decay", "three_spin", "detect_event",
+                       "zurek_n8", "revival_suppression", "physical_evolve"):
+            cli.run_config(cli.load_config(cli.preset_path(preset)), tmp_path / preset)
+        assert written
