@@ -18,12 +18,12 @@ import numpy as np
 from .clocks import _CHUNK_ENTRIES, ClockModel, clock_density
 from .relational import (
     ZeroProbabilityError,
+    _eigenbasis,
     _keeps_factor,
     _sandwich_state,
     _split_space,
     _window_factor,
     conditional_probabilities,
-    heisenberg_stack,
 )
 from .states import (
     TOL_PROJ,
@@ -336,27 +336,33 @@ def _pinching_gap(
 
     with Z = [Z_P1, Z_P2, ...] and K = (1 1^T - I) (x) I.  Where Z has fewer
     columns than rows, its R factor gives the nonzero spectrum as that of
-    R K R^dagger; otherwise Z K Z^dagger is formed."""
+    R K R^dagger; otherwise Z K Z^dagger is formed.  Z is taken in h's
+    eigenbasis V, which changes neither: P(t) = u_t P~ u_t^* there, with
+    P~ = V^dagger P V and the d-vector u_t = e^{i lambda t}."""
     nt, members, cols = t_grid.size, len(family), y.shape[1]
-    # (P_1(t); P_2(t); ...) stacked per time, applied to the rows of Y at that time
-    p_t = np.stack([heisenberg_stack(p, h_system, t_grid) for p in family.projectors], axis=1)
-    p_t = p_t.reshape(nt, members * d_sys, d_sys)
-    y = y.reshape(n, d_sys, nt, -1)
+    v, lam = _eigenbasis(h_system, d_sys)
+    u = np.exp(1j * np.outer(lam, t_grid))[:, :, None]  # u_t as (d, nt, 1), before any BLAS call
+    v_h = v.conj().T
+    p_e = (family._stack if h_system is None else v_h @ family._stack @ v).reshape(members * d_sys, d_sys)
+    y = y.reshape(n, d_sys, cols)
     m = members * cols
     weight = np.zeros(members)
 
     def rows_of(start: int, b: int) -> np.ndarray:
         block = y[start : start + b]
-        w = p_t @ block.transpose(2, 1, 0, 3).reshape(nt, d_sys, -1)
-        weight[:] += np.square(w.view(float)).reshape(nt, members, -1).sum(axis=(0, 2))
+        if h_system is not None:  # without h, V = I and u_t = 1
+            block = (v_h @ block).reshape(b, d_sys, nt, -1) * u.conj()
+        w = (p_e @ block.reshape(b, d_sys, cols)).reshape(b, members, d_sys, nt, -1)
+        weight[:] += np.square(w.view(float)).reshape(b, members, -1).sum(axis=(0, 2))
+        w *= u
         # Z rows (i, a), columns (P, t, k)
-        return w.reshape(nt, members, d_sys, b, -1).transpose(3, 2, 1, 0, 4).reshape(b * d_sys, m)
+        return w.transpose(0, 2, 1, 3, 4).reshape(b * d_sys, m)
 
     r = _blocked_r(n, d_sys, m, rows_of)
     blocks = r.reshape(-1, members, cols)
     gap = (blocks.sum(axis=1, keepdims=True) - blocks).reshape(-1, m) @ r.conj().T
-    lam = np.linalg.eigvalsh(gap)
-    return float(lam[lam > 0].sum()), weight
+    spectrum = np.linalg.eigvalsh(gap)
+    return float(spectrum[spectrum > 0].sum()), weight
 
 
 def _event_gap(

@@ -92,6 +92,7 @@ def _energy_basis_stack(
     return v @ (tilde * factor) @ v.conj().T
 
 
+# no caller in the package; kept importable because perfbench/tracer.py wraps it by name
 def heisenberg_stack(op: np.ndarray, h: Observable | None, t_grid: np.ndarray) -> np.ndarray:
     """Heisenberg-evolved copies e^{iHt} A e^{-iHt} stacked over a time grid."""
     t = np.asarray(t_grid, dtype=float)
@@ -159,6 +160,11 @@ def _system_projectors(
     return b
 
 
+def _eigenbasis(h: Observable | None, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvectors V and eigenvalues lambda of ``h``; V = I, lambda = 0 without h."""
+    return (np.eye(d, dtype=complex), np.zeros(d)) if h is None else (h.eigenvectors, h.eigenvalues)
+
+
 def _split_space(rho: DensityOperator, clock: ClockModel) -> tuple[int, int]:
     dims = rho.space.dims
     if len(dims) < 2 or dims[0] != clock.n:
@@ -180,96 +186,61 @@ def _window_cores(
     clock: ClockModel,
     mask: np.ndarray,
     t_grid: np.ndarray,
+    basis: np.ndarray,
     form: str = "core",
-    basis: np.ndarray | None = None,
 ):
     """Yield ``(sl, e, out)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
 
     With E the isometry onto the r grid nodes in ``mask``, ``e[t]`` is the
     transpose of e^{iH_c t} E (shape (c, r, n)) and factors the Heisenberg
     window as W(t) = e[t]^T conj(e[t]); h_clock is diagonal in the Fourier
-    basis, so ``e`` is a batch of FFTs, each along the last, contiguous axis.
-    Its phases e^{i dispersion t} come from ``clock._phases``: rows of the
-    clock's cached table on the default grid.  ``out`` depends on ``form``:
+    basis, so ``e`` is a batch of FFTs (phases from ``clock._phases``), each
+    along the last, contiguous axis.  ``out`` depends on ``form``:
 
     - ``"core"``: core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I), with the entry
       [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where
       the Heisenberg-evolved full-space window takes (n d)^2;
-    - ``"traced"`` (dense states only): the d x d marginal Tr_r core[t];
-    - ``"rows"`` (Gram-factored states only): (W(t) (x) I) F with its rows
-      (i, a) and columns j at axes (a, j, i), of shape (c, d k, n).
+    - ``"traced"`` (dense states only): the d x d marginal Tr_r core[t].
 
-    A unitary ``basis`` V on the system factor runs all of this on
+    The unitary ``basis`` V on the system factor runs all of this on
     (I (x) V^dagger) rho (I (x) V): the state is rotated once, not per time.
 
-    The state enters as a product rho = A B, and core[t] = L(t) R(t) with
-    L(t) = (e[t]^dagger (x) I) A and R(t) = B (e[t] (x) I).  A dense state has
-    A = rho and B = I: rho (e[t] (x) I) is one matmul with the dense rho, at
-    O(n^2 r d^2) per time.  A Gram factor F has A = F and B = F^dagger, so
-    R(t) = L(t)^dagger.  L(t), held as (c, d k, r), transforms the narrower
-    operand: with d k <= r it is the window columns of F^T's clock index
-    evolved by one FFT per time, at O(k d n log n), and needs no ``e`` for
-    rows; otherwise it is F^T conj(e[t])^T, one matmul after evolving e's r
-    rows.  A factored state's marginal is ``_factor_kernel``'s.
+    A dense rho takes one matmul with e[t] (x) I, at O(n^2 r d^2) per time, a
+    Gram factor F one with F for its window rows L(t) = (e[t]^dagger (x) I) F,
+    at O(n r d k), and core[t] = L(t) L(t)^dagger.
     """
     n = clock.n
     d = rho.dim // n
     r = int(np.count_nonzero(mask))
+    e0 = _window_dft(clock, mask)
     f = rho.factor
     if f is None:
-        a = rho.matrix
-        if basis is not None:
-            a = (a.reshape(n * d * n, d) @ basis).reshape(n, d, n * d)
-            a = basis.conj().T @ a
+        a = (rho.matrix.reshape(n * d * n, d) @ basis).reshape(n, d, n * d)
+        a = basis.conj().T @ a
         # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
         rho_j = a.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
         per_time = n * d * d * r
-        with_e = True
     else:
         k = f.shape[1]
-        f = f.reshape(n, d, k)
-        if basis is not None:
-            f = basis.conj().T @ f
-        # F^T, rows (a, j) and the clock index last, as a view of F
-        f = f.reshape(n, d * k).T
-        fft_rows = d * k <= r
-        if fft_rows:
-            f_hat = np.ascontiguousarray(np.fft.fft(f))
-        with_e = form == "core" or not fft_rows
-        per_time = n * d * k + (n * r if with_e else 0) + ((r * d) ** 2 if form == "core" else 0)
-    if with_e:
-        e0 = _window_dft(clock, mask)
+        # F^T in the basis, rows (a, k) and the clock index last
+        f = (basis.conj().T @ f.reshape(n, d, k)).reshape(n, d * k).T
+        per_time = (n + d * k + r * d * d) * r
     step = max(1, _CHUNK_ENTRIES // max(1, per_time))
     for start in range(0, t_grid.size, step):
         sl = slice(start, min(start + step, t_grid.size))
         phase = clock._phases(t_grid, sl)
         c = phase.shape[0]
-        e = np.fft.ifft(phase[:, None, :] * e0) if with_e else None
-        if f is None:
-            y = rho_j @ e.transpose(2, 0, 1).reshape(n, c * r)
-            y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
-            core = (e.conj() @ y).reshape(c, r, d, d, r)
-            yield sl, e, np.einsum("tkabk->tab", core) if form == "traced" else core
+        e = np.fft.ifft(phase[:, None, :] * e0)
+        if f is not None:
+            left = f @ e.conj().transpose(0, 2, 1)  # L(t) = F^T conj(e[t])^T, rows (a, k)
+            flat = left.reshape(c, d, k, r).transpose(0, 3, 1, 2).reshape(c, r * d, k)
+            core = flat @ flat.conj().transpose(0, 2, 1)
+            yield sl, e, core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
             continue
-        if fft_rows:
-            # e^{-iH_c t} on the clock index of F
-            g = np.fft.ifft(phase.conj()[:, None, :] * f_hat)
-            if form == "rows":
-                # back from the window columns: e^{iH_c t} E E^dagger e^{-iH_c t} F
-                g[:, :, ~mask] = 0.0
-                g = np.fft.fft(g)
-                g *= phase[:, None, :]
-                yield sl, e, np.fft.ifft(g)
-                continue
-            left = g[:, :, mask]
-        else:
-            left = f @ e.conj().transpose(0, 2, 1)
-            if form == "rows":
-                yield sl, e, left @ e
-                continue
-        flat = left.reshape(c, d, k, r).transpose(0, 3, 1, 2).reshape(c, r * d, k)
-        core = flat @ flat.conj().transpose(0, 2, 1)
-        yield sl, e, core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
+        y = rho_j @ e.transpose(2, 0, 1).reshape(n, c * r)
+        y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
+        core = (e.conj() @ y).reshape(c, r, d, d, r)
+        yield sl, e, np.einsum("tkabk->tab", core) if form == "traced" else core
 
 
 # flop rate of the matmul route over the FFT route, set from the README clock
@@ -280,7 +251,7 @@ _MATMUL_FLOP_RATE = 7.0
 
 
 def _rows_by_matmul(n: int, r: int) -> bool:
-    """Whether ``_factor_kernel`` takes a factor's window rows by one matmul
+    """Whether ``_window_rows`` takes a factor's window rows by one matmul
     with the r window DFT columns, at 8 n r real flops per column and time,
     rather than by an FFT of each column, at about 5 n log2 n.  The matmul
     ran at about ``_MATMUL_FLOP_RATE`` times the FFT's flop rate, so the
@@ -288,27 +259,28 @@ def _rows_by_matmul(n: int, r: int) -> bool:
     return 8 * r <= _MATMUL_FLOP_RATE * 5 * math.log2(n)
 
 
-def _factor_kernel(
+def _window_rows(
     f: np.ndarray,
     clock: ClockModel,
     mask: np.ndarray,
     t_grid: np.ndarray,
     scale: np.ndarray,
     basis: np.ndarray | None,
-) -> np.ndarray:
-    """K = sum_t L(t) L(t)^dagger for a Gram factor F (shape (n d, k)), with
-    L(t) the d x (k r) window rows of e^{-iH_c t} F and its row a scaled by
-    ``scale[t, a]``^*; a unitary ``basis`` V runs this on (I (x) V^dagger) F.
-    The kernel works with X(t) = conj(L(t)): with
-    f = conj(fft(F^T)) / n along the clock index, X(t) is the window entries
-    of fft(P_t (.) f), P_t = e^{i dispersion t} from ``clock._phases``.  For
-    all times of a t-chunk that is one matmul per column of F, of its (r, n)
-    table f (.) fft(E)^T with the chunk's P^T; where ``_rows_by_matmul`` says
-    FFTs win, each time takes the FFT of its d k columns instead.  Returns
-    K = conj(sum_t X(t) X(t)^dagger)."""
+    dft: np.ndarray | None,
+    extra: int = 0,
+):
+    """Yield ``(sl, phase, x)`` per chunk ``t_grid[sl]``: the chunk's rows P_t
+    of ``clock._phases`` and X(t) = conj(L(t)) for its c times, shape
+    (d, k r, c), with L(t) the window rows of e^{-iH_c t} F (F of shape
+    (n d, k)) and its row a scaled by ``scale[t, a]``^*; a unitary ``basis`` V
+    runs this on (I (x) V^dagger) F.  With f = conj(fft(F^T)) / n along the
+    clock index, X(t) is the window entries of fft(P_t (.) f): given the
+    window's DFT rows ``dft`` (where ``_rows_by_matmul`` says so), one matmul
+    per column of F of its (r, n) table f (.) dft with the chunk's P^T,
+    otherwise an FFT of each column per time.  ``extra`` counts the caller's
+    entries per time in the chunk budget ``_CHUNK_ENTRIES``."""
     n = clock.n
-    d = f.shape[0] // n
-    k = f.shape[1]
+    d, k = f.shape[0] // n, f.shape[1]
     r = int(np.count_nonzero(mask))
     # F^T, rows (a, k) and the clock index last and contiguous, rotated by one
     # (d, d) x (d, k n) product; then conj(fft(F^T)) / n
@@ -316,18 +288,16 @@ def _factor_kernel(
     if basis is not None:
         f_t = (basis.conj().T @ f_t.reshape(d, k * n)).reshape(d * k, n)
     f_bar = np.fft.ifft(f_t.conj())
-    matmul = _rows_by_matmul(n, r)
-    if matmul:
+    if dft is not None:
         # (d k, r, n): the conjugated window DFT columns of each column of F
-        g = f_bar[:, None, :] * _window_dft(clock, mask)
-    per_time = n + (d * k * r if matmul else d * k * n)
+        g = f_bar[:, None, :] * dft
+    per_time = n + (d * k * r if dft is not None else d * k * n) + extra
     step = max(1, _CHUNK_ENTRIES // per_time)
-    kernel = np.zeros((d, d), dtype=complex)
     for start in range(0, t_grid.size, step):
         sl = slice(start, min(start + step, t_grid.size))
         phase = clock._phases(t_grid, sl)
         c = phase.shape[0]
-        if matmul:
+        if dft is not None:
             # one (r, n) x (n, c) product per column of F: OpenBLAS ran a product
             # of 2^16 or more multiply-adds on two threads, and on a two-core host
             # with the other core busy such a call (20 x 128 x 49) took 16 ms
@@ -337,9 +307,7 @@ def _factor_kernel(
             x = np.fft.fft(phase[:, None, :] * f_bar)[:, :, mask]
             x = x.reshape(c, d, k * r).transpose(1, 2, 0)
         x *= scale[sl].T[:, None, :]
-        x = x.reshape(d, k * r * c)
-        kernel += x @ x.conj().T
-    return kernel.conj()
+        yield sl, phase, x
 
 
 def _window_factor(
@@ -352,23 +320,44 @@ def _window_factor(
 ) -> np.ndarray:
     """The factor Y of the window sandwich of a Gram-factored rho = F F^dagger:
     its columns sqrt(w_t) (W(t) (x) S(t)) F, ordered (t, S, k), give the
-    sandwich as Y Y^dagger.  W(t) is the identity for ``mask`` None."""
+    sandwich as Y Y^dagger.  W(t) is the identity for ``mask`` None.
+
+    In h's eigenbasis V, S(t) = V u_t S~ u_t^* V^dagger with S~ = V^dagger S V
+    and u_t = e^{i lambda t} a d-vector, so a column is (I (x) V) e^{iH_c t} E Z
+    with Z = u_t S~ L(t), L(t) the rows of ``_window_rows`` scaled by
+    sqrt(w_t) u_t^*.  Back on the clock nodes e^{iH_c t} E Z =
+    ifft(P_t (.) fft(E) Z): one inverse FFT per column and time, fft(E) Z by
+    one matmul per column (S, a, k) with the window's DFT rows on
+    ``_rows_by_matmul``'s matmul route, else by an FFT of E Z."""
     n = clock.n
     d = rho.dim // n
-    k = rho.factor.shape[1]
-    nt = t_grid.size
-    s_t = np.stack([heisenberg_stack(op, h_system, t_grid) for op in sys_ops], axis=1)
-    s_t *= np.sqrt(clock._quadrature_weights(t_grid))[:, None, None, None]
-    y = np.empty((n, d, nt, len(sys_ops), k), dtype=complex)
-    if mask is None:
-        chunks = [(slice(0, nt), None, np.broadcast_to(rho.factor.reshape(n, d * k).T, (nt, d * k, n)))]
-    else:
-        chunks = _window_cores(rho, clock, mask, t_grid, "rows")
-    for sl, _, x in chunks:
-        # one (|S| d, d) x (d, k n) product per time
-        sx = s_t[sl].reshape(-1, len(sys_ops) * d, d) @ x.reshape(-1, d, k * n)
-        y[:, :, sl] = sx.reshape(-1, len(sys_ops), d, k, n).transpose(4, 2, 0, 1, 3)
-    return y.reshape(n * d, -1)
+    nt, m, k = t_grid.size, len(sys_ops), rho.factor.shape[1]
+    v, lam = _eigenbasis(h_system, d)
+    # u_t = e^{i lambda t}, taken before any BLAS call (see ``_conditional_probabilities``)
+    u = np.exp(1j * np.outer(t_grid, lam))
+    scale = u * np.sqrt(clock._quadrature_weights(t_grid))[:, None]
+    basis, s = (None, np.asarray(sys_ops)) if h_system is None else (v, v.conj().T @ sys_ops @ v)
+    mask = np.ones(n, dtype=bool) if mask is None else mask
+    r = int(np.count_nonzero(mask))
+    dft = _window_dft(clock, mask) if _rows_by_matmul(n, r) else None
+    y = np.empty((n, d, nt, m, k), dtype=complex)
+    for sl, phase, x in _window_rows(rho.factor, clock, mask, t_grid, scale, basis, dft, 2 * m * d * k * n):
+        c = phase.shape[0]
+        # V u_t S~ L(t) with L(t) = conj(x): (d, d) x (d, k r c) products per S
+        z = (s @ x.conj().reshape(d, k * r * c)).reshape(m, d, k * r, c)
+        if basis is not None:  # without h, V = I and u_t = 1
+            z *= u[sl].T[:, None, :]
+            z = v @ z.reshape(m, d, k * r * c)
+        z = z.reshape(m * d * k, r, c).transpose(0, 2, 1)  # each column (S, a, k) as (c, r), times first
+        if dft is not None:
+            b = z @ dft
+        else:
+            b = np.zeros((m * d * k, c, n), dtype=complex)
+            b[:, :, mask] = z
+            b = np.fft.fft(b)
+        b *= phase
+        y[:, :, sl] = np.fft.ifft(b).reshape(m, d, k, c, n).transpose(4, 1, 3, 0, 2)
+    return y.reshape(n * d, nt * m * k)
 
 
 def _window_sandwich(
@@ -383,29 +372,33 @@ def _window_sandwich(
     Heisenberg window on the grid nodes in ``mask`` (the identity for None) and
     S(t) the Heisenberg-evolved system operators, built without any full-space
     stack: each time contributes (e(t) (x) I) G(t) (e(t) (x) I)^dagger with
-    G(t) the system channel applied to the (r d)^2 core."""
+    G(t) the system channel on the (r d)^2 core in h's eigenbasis V, there
+    diag(p_t) C diag(p_t)^*, C = sum_S S~ (x) conj(S~), p_t = u_t (x) conj(u_t)."""
     n = clock.n
     d = rho.dim // n
-    nt = t_grid.size
-    # X -> sum_S S(t) X S(t)^dagger on the system factor: a (d^2, d^2) matrix per time
-    chan = np.zeros((nt, d, d, d, d), dtype=complex)
-    for op in sys_ops:
-        s_t = heisenberg_stack(op, h_system, t_grid)
-        chan += np.einsum("tac,tbd->tabcd", s_t, s_t.conj())
-    chan = clock._quadrature_weights(t_grid)[:, None, None] * chan.reshape(nt, d * d, d * d)
+    v, lam = _eigenbasis(h_system, d)
+    u = np.exp(1j * np.outer(t_grid, lam))
+    p = (u[:, :, None] * u.conj()[:, None, :]).reshape(t_grid.size, d * d)
+    w = clock._quadrature_weights(t_grid)
+    s = v.conj().T @ np.asarray(sys_ops, dtype=complex) @ v
+    chan = np.einsum("sac,sbd->abcd", s, s.conj()).reshape(d * d, d * d)
     if mask is None:
-        # W(t) = I: the clock unitaries cancel and only the system channel acts
+        # W(t) = I: only the system channel acts, summed over t and rotated back by V (x) conj(V)
+        vv = np.kron(v, v.conj())
+        chan = vv @ (chan * ((p.T * w) @ p.conj())) @ vv.conj().T
         blocks = rho.matrix.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
-        out = (chan.sum(axis=0) @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1)
-        return out.reshape(n * d, n * d)
-    acc = np.zeros((n * d * d, n), dtype=complex)
-    for sl, e, core in _window_cores(rho, clock, mask, t_grid):
+        return (chan @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1).reshape(n * d, n * d)
+    chan = (w[:, None] * p)[:, :, None] * chan * p.conj()[:, None, :]
+    acc = np.zeros((n, d * d * n), dtype=complex)
+    for sl, e, core in _window_cores(rho, clock, mask, t_grid, v):
         c, r = e.shape[:2]
         g = chan[sl] @ core.transpose(0, 2, 3, 1, 4).reshape(c, d * d, r * r)
-        g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r, d * d * r)
-        x = (e.transpose(0, 2, 1) @ g).reshape(c, n, d * d, r).transpose(1, 2, 0, 3).reshape(n * d * d, c * r)
-        acc += x @ e.conj().reshape(c * r, n)
-    return acc.reshape(n, d, d, n).transpose(0, 1, 3, 2).reshape(n * d, n * d)
+        # rows (k, a, b), columns k', times conj(e) on the right, then e^T over (t, k)
+        g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r * d * d, r) @ e.conj()
+        acc += e.reshape(c * r, n).T @ g.reshape(c * r, d * d * n)
+    # back from h's eigenbasis: (I (x) V) out (I (x) V^dagger)
+    out = v @ acc.reshape(n, d, d, n).transpose(0, 1, 3, 2).reshape(n, d, n * d)
+    return (out.reshape(n * d * n, d) @ v.conj().T).reshape(n * d, n * d)
 
 
 def _keeps_factor(rho: DensityOperator, t_grid: np.ndarray, n_ops: int) -> bool:
@@ -467,7 +460,7 @@ def conditional_probabilities(
     p = Tr(Q~ K) / Tr K.  Without h, V = I and lambda = 0.  For a Gram
     factor F, M~(t) = L(t) L(t)^dagger with L(t) the window rows of the
     clock-evolved (I (x) V^dagger) F, and K is one Gram product of those
-    rows scaled by sqrt(w_t) u_t (``_factor_kernel``).
+    rows scaled by sqrt(w_t) u_t (``_window_rows``).
     """
     return _conditional_probabilities(rho, projectors, clock, t0, h_system, t_grid)
 
@@ -487,15 +480,12 @@ def _conditional_probabilities(
     sys_projs = _system_projectors(projectors, rho.space, n_cl)
     t_grid = clock._t_grid(t_grid)
     w = clock._quadrature_weights(t_grid)
-    if h_system is None:
-        v, lam = np.eye(d_sys, dtype=complex), np.zeros(d_sys)
-    else:
-        v, lam = h_system.eigenvectors, h_system.eigenvalues
+    v, lam = _eigenbasis(h_system, d_sys)
     mask = clock._window_mask(t0, half_width)
 
+    kernel = np.zeros((d_sys, d_sys), dtype=complex)
     if rho.factor is None:
-        kernel = np.zeros((d_sys, d_sys), dtype=complex)
-        for sl, _, m in _window_cores(rho, clock, mask, t_grid, "traced", v):
+        for sl, _, m in _window_cores(rho, clock, mask, t_grid, v, "traced"):
             # u_t as a d-vector: d exponentials per time, not d^2
             u = np.exp(-1j * np.outer(t_grid[sl], lam))
             m *= u.conj()[:, None, :]
@@ -504,9 +494,13 @@ def _conditional_probabilities(
     else:
         # sqrt(w_t) u_t^*, taken before any BLAS call: a complex exp issued
         # right after one ran several times slower (OpenBLAS 0.3.31, x86-64)
-        scale = np.exp(1j * np.outer(t_grid, lam))
-        scale *= np.sqrt(w)[:, None]
-        kernel = _factor_kernel(rho.factor, clock, mask, t_grid, scale, None if h_system is None else v)
+        scale = np.exp(1j * np.outer(t_grid, lam)) * np.sqrt(w)[:, None]
+        dft = _window_dft(clock, mask) if _rows_by_matmul(n_cl, int(np.count_nonzero(mask))) else None
+        rows = _window_rows(rho.factor, clock, mask, t_grid, scale, None if h_system is None else v, dft)
+        for _, _, x in rows:  # K = conj(sum_t X(t) X(t)^dagger), one d x d Gram product per t-chunk
+            x = x.reshape(d_sys, x.shape[1] * x.shape[2])
+            kernel += x @ x.conj().T
+        kernel = kernel.conj()
     den = float(kernel.trace().real)
     if den <= 0.0:
         raise UnreachableReadingError(f"clock never reads {t0} on this state: normalization {den}")

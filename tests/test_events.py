@@ -496,6 +496,77 @@ class TestDenseDetection:
         assert abs(dense.distinguishability - schrodinger) <= 1e-12
 
 
+class TestEnergyBasisPhases:
+    """System operators act in h's eigenbasis, scaled by d-vectors of phases
+    e^{i lambda t}, on every conditioning path: no Heisenberg stack over t.
+    The tests draw from their own generators, so the session generator's
+    draws for the tests after them stay as they were."""
+
+    T0 = 1.0
+    factor_state = staticmethod(TestConservedDetection.state)
+
+    @staticmethod
+    def family(rng, d, members):
+        # rank-1 members and the rest of the space, in a random basis
+        u = oracles.random_unitary(rng, d)
+        cuts = list(range(members)) + [d]
+        projectors = tuple(u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(cuts, cuts[1:]))
+        return rc.ProjectorFamily(labels=tuple(range(members)), projectors=projectors)
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rho_event_and_detection_match_brute_force(self, small_clock, k, form):
+        # d = 4 on 40 nodes with 17 times: Y keeps 17 |S| k <= 160 columns, and
+        # a random h commutes with no member, so the fused detection pinches the
+        # family; the dense form of the same state takes the dense sandwich
+        rng = np.random.default_rng(3100 + k)
+        clock = small_clock
+        rho = self.factor_state(rng, clock, 4, k)
+        if form == "dense":
+            rho = rc.DensityOperator.from_matrix(rho.matrix, rho.space)
+        h_sys = oracles.random_hermitian(rng, 4)
+        h = rc.Observable.from_matrix(h_sys)
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        window = clock.window_projector(self.T0)
+        modified = oracles.brute_reduce_state(
+            rho.matrix, [(None, self.T0)], clock.window_projector, clock.h_clock.matrix, h_sys, t_grid
+        )
+        for members in (2, 3):
+            fam = self.family(rng, 4, members)
+            got = rc.rho_event(rho, fam, clock, self.T0, h, t_grid, picture="heisenberg")
+            assert (got.factor is not None) is (form == "factored")
+            want = oracles.brute_rho_event(rho.matrix, fam.projectors, window, clock.h_clock.matrix, h_sys, t_grid)
+            np.testing.assert_allclose(got.matrix, want, atol=1e-9)
+            assert not rc.events._conserved(fam, h)
+            lam = np.linalg.eigvalsh(modified - want)
+            rec = rc.detect_event(rho, fam, clock, self.T0, 10, 0.3, h, t_grid=t_grid)
+            assert rec.distinguishability == pytest.approx(float(lam[lam > 0].sum()), abs=1e-9)
+
+    def test_no_heisenberg_stack_on_any_conditioning_path(self, free_clock, monkeypatch):
+        rng = np.random.default_rng(3200)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Heisenberg stack was built")
+
+        monkeypatch.setattr(rc.relational, "heisenberg_stack", refuse)
+        clock = free_clock
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2))
+        factored = self.factor_state(rng, clock, 2, 1)
+        dense = rc.DensityOperator.from_matrix(factored.matrix, factored.space)
+        pair, three = self.family(rng, 2, 2), self.family(rng, 4, 3)
+        for rho in (factored, dense):
+            rc.reduce_state(rho, clock, [(pair.projectors[0], 1.5), (None, 1.7)], h)
+            rc.reduce_state(rho, clock, [(pair.projectors[0], None)], h)
+            rc.rho_mod(rho, clock, 1.5, h)
+            rc.rho_event(rho, pair, clock, 1.5, h)
+        # a pair that commutes with h takes the off-diagonal block, a family of three the pinching
+        h_z = rc.Observable.from_matrix(rc.SIGMA_Z)
+        assert rc.events._conserved(z_family(), h_z) and not rc.events._conserved(three, None)
+        rc.detect_event(factored, z_family(), clock, 1.5, 10, 0.3, h_z)
+        h4 = rc.Observable.from_matrix(oracles.random_hermitian(rng, 4))
+        rc.detect_event(self.factor_state(rng, clock, 4, 1), three, clock, 1.5, 10, 0.3, h4)
+
+
 class TestPropertyInclusion:
     def test_family_includes_itself(self):
         fam = z_family()

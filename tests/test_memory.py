@@ -10,7 +10,11 @@ system (the qubit and an 8-spin register, d = 512) is one d x d kernel in the
 Hamiltonian's eigenbasis, where a Heisenberg stack of the projector would take
 416 MiB, and its reading-density reference ``effective_projector`` takes its
 weighted sum from an (nt, d) table of phases e^{-i lambda t} without that
-stack.  The reading densities of several readings come from one clock
+stack.  A conditioned state of the register system (a 6-spin register,
+d = 128) applies its system operator in that eigenbasis too, scaled by
+d-vectors of phases, so ``reduce_state`` and ``detect_event`` hold the factor
+Y of nt columns and chunk buffers, and no (nt, d, d) stack beside it.  The
+reading densities of several readings come from one clock
 evolution walked over t-chunks.  No timing is asserted.  Each test also
 checks its result through an independent path, since at these sizes the
 kernel walks the time grid in several chunks.  The spin-register oracle walks
@@ -210,6 +214,55 @@ def test_register_effective_projector_peak():
     for w, t in zip(weights, density.t_grid):
         mix += w * np.exp(1j * omega * t)
     np.testing.assert_allclose(f, q * mix, rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def register_128():
+    # clock (x) qubit (x) 6-spin register, d = 128, pure: a Gram factor of one column
+    clock = rc.build_free_particle_clock(256, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+    model = rc.make_incommensurate_model(6)
+    lam = np.kron([1.0, -1.0], model.branch_energies())
+    system = model.system_init.tensor(rc.DensityOperator.from_vector(model.env_amplitudes(), (2**6,)))
+    rho = clock.rho0.tensor(system)
+    assert rho.factor.shape[1] == 1
+    return clock, rho, system.matrix, lam
+
+
+def test_register_reduce_state_peak(register_128):
+    # Y has nt = 104 columns of n d = 32768 rows (52 MiB); the system operator
+    # acts in h's eigenbasis through d-vectors of phases, where a Heisenberg
+    # stack of it took (nt, d, d), and the factor's route read 126 MiB traced
+    clock, rho, system, lam = register_128
+    h = rc.Observable.from_matrix(np.diag(lam))
+    q = np.kron(PLUS, np.eye(2**6))
+    out, peak = traced_peak_mb(lambda: rc.reduce_state(rho, clock, [(q, T0)], h_system=h))
+    assert peak <= LIMIT_MB
+    assert out.factor is not None
+    # product input: the system marginal is sum_t w_t p_T0(t) S(t) rho_s S(t)^dagger,
+    # normalized, with S(t)_mn = q_mn e^{i (lam_m - lam_n) t} for the diagonal h
+    t_grid = clock.default_t_grid()
+    weights = rc.clocks.trapezoid_weights(t_grid) * clock.window_probabilities(T0, t_grid)
+    omega = lam[:, None] - lam[None, :]
+    want = np.zeros_like(system)
+    for w, t in zip(weights, t_grid):
+        s_t = q * np.exp(1j * omega * t)
+        want += w * (s_t @ system @ s_t.conj().T)
+    want /= want.trace().real
+    np.testing.assert_allclose(rc.partial_trace(out, [1, 2]).matrix, want, rtol=0, atol=1e-9)
+
+
+def test_register_detect_event_peak(register_128):
+    # the qubit's pointer pair commutes with h = sigma_z (x) sum_k g_k sigma_z^(k)
+    clock, rho, system, lam = register_128
+    h = rc.Observable.from_matrix(np.diag(lam))
+    up = np.kron(np.diag([1.0, 0.0]), np.eye(2**6))
+    family = rc.ProjectorFamily(labels=("up", "down"), projectors=(up, np.eye(2**7) - up))
+    rec, peak = traced_peak_mb(lambda: rc.detect_event(rho, family, clock, T0, n_particles=10, alpha=0.3, h_system=h))
+    assert peak <= LIMIT_MB
+    # product input: rho_mod's system marginal is rho_s at every time, so d is the
+    # nuclear norm of its off-diagonal block between the pointer ranges
+    assert rec.distinguishability == pytest.approx(np.linalg.svd(system[:64, 64:], compute_uv=False).sum(), abs=1e-9)
+    assert not rec.event_occurred
 
 
 def test_register_oracle_on_thirteen_spins():

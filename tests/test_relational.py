@@ -238,6 +238,148 @@ class TestFactorKernel:
             rc.conditional_probabilities(rho, [P_UP, I2 - P_UP], clock, t0, rc.Observable.from_matrix(rc.SIGMA_X))
 
 
+def parent_window_factor(rho, clock, mask, sys_ops, h, t_grid):
+    """The window factor Y by the arithmetic the library used before its
+    energy-basis route, unchunked: a Heisenberg stack of each system operator
+    over t (d^2 exponentials per time, as ``heisenberg_stack`` takes them) and
+    W(t) F by three FFTs per column and time."""
+    n, nt = clock.n, t_grid.size
+    d = rho.dim // n
+    k = rho.factor.shape[1]
+    lam, v = h.eigenvalues, h.eigenvectors
+    omega = lam[:, None] - lam[None, :]
+    factor = np.exp(1j * t_grid[:, None, None] * omega)
+    s_t = np.stack([v @ ((v.conj().T @ op @ v) * factor) @ v.conj().T for op in sys_ops], axis=1)
+    s_t *= np.sqrt(rc.clocks.trapezoid_weights(t_grid))[:, None, None, None]
+    f = rho.factor.reshape(n, d * k).T
+    if mask is None:
+        g = np.broadcast_to(f, (nt, d * k, n))
+    else:
+        phase = np.exp(1j * np.outer(t_grid, clock.dispersion))
+        g = np.fft.ifft(phase.conj()[:, None, :] * np.fft.fft(f))
+        g[:, :, ~mask] = 0.0
+        g = np.fft.ifft(phase[:, None, :] * np.fft.fft(g))
+    sx = s_t.reshape(nt, len(sys_ops) * d, d) @ g.reshape(nt, d, k * n)
+    return sx.reshape(nt, len(sys_ops), d, k, n).transpose(4, 2, 0, 1, 3).reshape(n * d, nt * len(sys_ops) * k)
+
+
+class _Counted(np.ndarray):
+    """An array whose matmuls, and those of every array computed from it,
+    record their multiply-adds per BLAS call (numpy calls one per matrix of a
+    stack)."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(a) for a in inputs]
+        out = kwargs.get("out")
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        if ufunc is np.matmul:
+            a, b = inputs
+            _Counted.calls.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out is not None:
+            return out[0]
+        return result.view(_Counted) if isinstance(result, np.ndarray) else result
+
+
+class TestWindowFactor:
+    """The factor Y of a conditioned Gram-factored state takes L(t) from the
+    clock's phase table, applies S(t) in h's eigenbasis as S~ scaled by
+    d-vectors of phases, and maps back to the clock nodes by one inverse FFT
+    per column and time.  The tests draw from their own generators, so the
+    session generator's draws for the tests after them stay as they were."""
+
+    T0 = 1.0
+    factor_state = staticmethod(TestFactorKernel.factor_state)
+
+    @staticmethod
+    def projector(rng, d, rank):
+        u = oracles.random_unitary(rng, d)
+        return u[:, :rank] @ u[:, :rank].conj().T
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_reduce_state_matches_brute_force(self, small_clock, k, form):
+        # d = 4 on 40 nodes with 17 times: Y keeps 17 k columns of 160 rows; the
+        # dense form of the same state takes the dense sandwich in h's eigenbasis
+        rng = np.random.default_rng(2200 + k)
+        clock = small_clock
+        rho = self.factor_state(rng, clock, 4, k)
+        if form == "dense":
+            rho = rc.DensityOperator.from_matrix(rho.matrix, rho.space)
+        h = oracles.random_hermitian(rng, 4)
+        q = self.projector(rng, 4, 2)
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        for events in ([(q, self.T0)], [(q, None)], [(None, self.T0)]):
+            got = rc.reduce_state(rho, clock, events, rc.Observable.from_matrix(h), t_grid)
+            assert (got.factor is not None) is (form == "factored")
+            want = oracles.brute_reduce_state(
+                rho.matrix, events, clock.window_projector, clock.h_clock.matrix, h, t_grid
+            )
+            np.testing.assert_allclose(got.matrix, want, atol=1e-9)
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    @pytest.mark.parametrize("n", [64, 128, 256, 2048])
+    def test_matches_the_heisenberg_stack_arithmetic(self, monkeypatch, n, chunk):
+        # n = 64 ... 256 take the matmul with the window's DFT rows, 2048 the FFTs;
+        # the small chunk walks the time grid one to a few times at a time
+        rng = np.random.default_rng(2300 + n)
+        if n <= 128:
+            clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.5, delta_c=0.35, tau=2.8)
+        else:
+            clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+        if chunk is not None:
+            monkeypatch.setattr(rc.relational, "_CHUNK_ENTRIES", chunk)
+        rho = self.factor_state(rng, clock, 2, 2)
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2))
+        ops = [self.projector(rng, 2, 1), I2 - P_UP]
+        t_grid = clock._t_grid(None)
+        for mask in (clock._window_mask(2.0), None):
+            got = rc.relational._window_factor(rho, clock, mask, ops, h, t_grid)
+            want = parent_window_factor(rho, clock, mask, ops, h, t_grid)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_a_caller_grid_equal_to_the_default_gives_the_same_factor(self, n):
+        rng = np.random.default_rng(2400 + n)
+        clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+        rho = self.factor_state(rng, clock, 2, 2)
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2))
+        ops, mask = [self.projector(rng, 2, 1)], clock._window_mask(2.0)
+        cached = rc.relational._window_factor(rho, clock, mask, ops, h, clock._t_grid(None))
+        assert np.array_equal(rc.relational._window_factor(rho, clock, mask, ops, h, clock.default_t_grid()), cached)
+        events = [(ops[0], 2.0)]
+        state = rc.reduce_state(rho, clock, events, h)
+        assert np.array_equal(rc.reduce_state(rho, clock, events, h, clock.default_t_grid()).factor, state.factor)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_every_product_stays_below_two_openblas_threads(self, monkeypatch, n):
+        # OpenBLAS hands a complex product of 2^16 multiply-adds or more to a
+        # second thread, which stalled for milliseconds on a busy two-core host
+        rng = np.random.default_rng(2500 + n)
+        clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.5, delta_c=0.35, tau=2.8)
+        phases, window_dft, eigenbasis = rc.ClockModel._phases, rc.relational._window_dft, rc.relational._eigenbasis
+        monkeypatch.setattr(rc.ClockModel, "_phases", lambda self, *a: phases(self, *a).view(_Counted))
+        monkeypatch.setattr(rc.relational, "_window_dft", lambda *a: window_dft(*a).view(_Counted))
+        monkeypatch.setattr(rc.relational, "_eigenbasis", lambda *a: tuple(x.view(_Counted) for x in eigenbasis(*a)))
+        monkeypatch.setattr(_Counted, "calls", [])
+        for d in (2, 4):
+            first = self.projector(rng, d, d // 2)
+            family = rc.ProjectorFamily(labels=("first", "rest"), projectors=(first, np.eye(d) - first))
+            h = rc.Observable.from_matrix(oracles.random_hermitian(rng, d))
+            for k in (1, 2):
+                rho = self.factor_state(rng, clock, d, k)
+                outs = [rc.reduce_state(rho, clock, [(first, self.T0)], h), rc.rho_mod(rho, clock, self.T0, h)]
+                # the family's Y has 2 nt k columns, kept only while they do not outnumber its rows
+                if rc.relational._keeps_factor(rho, clock._t_grid(None), 2):
+                    outs.append(rc.rho_event(rho, family, clock, self.T0, h))
+                assert all(out.factor is not None for out in outs)
+                rc.detect_event(rho, family, clock, self.T0, 10, 0.3, h)
+        assert _Counted.calls and max(_Counted.calls) < 2**16
+
+
 class TestProjectorChecks:
     """Members are checked in order, and the first failing one raises the
     message of its first failed check, whichever call reads the family."""
