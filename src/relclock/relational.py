@@ -243,6 +243,106 @@ def _window_cores(
         yield sl, e, np.einsum("tkabk->tab", core) if form == "traced" else core
 
 
+def _phase_sum(m: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_t w_t u_t m[t] u_t^* for the d-vectors u_t = e^{-i lambda t}, in place on m."""
+    m *= u.conj()[:, None, :]
+    m *= (w[:, None] * u)[:, :, None]
+    return m.sum(axis=0)
+
+
+def _uniform(t_grid: np.ndarray) -> bool:
+    """Whether ``t_grid`` is t_0 + m dt to a few units in the last place, as
+    ``np.linspace`` and the clocks' default grids are.  A grid that is not
+    1-d or has fewer than two points is not, and the chain's quadrature
+    rejects it as it does on any route."""
+    if t_grid.ndim != 1 or t_grid.size < 2:
+        return False
+    steps = t_grid[0] + (t_grid[-1] - t_grid[0]) / (t_grid.size - 1) * np.arange(t_grid.size)
+    return bool(np.abs(t_grid - steps).max() <= 4 * np.finfo(float).eps * np.abs(t_grid).max())
+
+
+def _history_pair(
+    rho: DensityOperator,
+    clock: ClockModel,
+    prev: ReductionEvent,
+    last: ReductionEvent,
+    h_system: Observable | None,
+    t_grid: np.ndarray,
+    total: float,
+) -> float:
+    """``total`` times the last two factors of a history chain on a uniform
+    time grid: p_{k-1} of ``prev`` on rho = sigma_{k-2}, and p_k of ``last``
+    on the state sigma_{k-1} that ``prev`` reduces rho to, without building
+    sigma_{k-1}.
+
+    With B(s) = e^{iH_c s} E_{k-1} and rho rotated into h's eigenbasis, both
+    come from the window cores C(s) = (B(s)^dagger (x) I) rho (B(s) (x) I):
+    p_{k-1} from Tr_r C(s), as a probability of a dense state, and
+    sigma_{k-1} = sum_s (B(s) (x) I) D(s) (B(s) (x) I)^dagger / N with
+    D(s) = w_s (I (x) Q~(s)) C(s) (I (x) Q~(s)) and N = sum_s Tr D(s).  The
+    windows meet through the overlaps O(t, s) = B_k(t)^dagger B(s) =
+    E_k^dagger e^{-iH_c (t - s)} E_{k-1}, which depend on t - s alone: on a
+    uniform grid there are 2 nt - 1 of them.  h_clock is diagonal in the
+    Fourier basis of the periodic grid, so the propagator's entry between
+    nodes x and y is ifft(e^{-i dispersion (t - s)}) at x - y mod n, and
+    each O is gathered from one inverse FFT of a phase row.  With
+    G_m = O_m^dagger O_m, the marginal of event k is the convolution
+
+        M(t) = sum_s Tr_r((G_{t-s} (x) I) D(s)) / N,
+
+    the diagonal sums of one product of the (2 nt - 1, r^2) table of G with
+    the (r^2, nt d^2) stack of D, and p_k comes from the kernel
+    sum_t w_t u_t M(t) u_t^*."""
+    n, d = _split_space(rho, clock)
+    q_prev = _system_projectors([prev.q_proj], rho.space, n)
+    w = clock._quadrature_weights(t_grid)
+    v, lam = _eigenbasis(h_system, d)
+    mask = clock._window_mask(prev.t0, prev.delta)
+    nt, r = t_grid.size, int(np.count_nonzero(mask))
+    # u_t = e^{-i lambda t} and the clock phases, taken before any BLAS call
+    # (see ``_conditional_probabilities``)
+    u = np.exp(-1j * np.outer(t_grid, lam))
+    phase = clock._phases(t_grid, slice(None))
+    core = np.empty((nt, r, d, d, r), dtype=complex)
+    for sl, _, chunk in _window_cores(rho, clock, mask, t_grid, v):
+        core[sl] = chunk
+    p = _kernel_probabilities(_phase_sum(np.einsum("tkabk->tab", core), u, w), v, q_prev, prev.t0)
+    total *= float(p[0])
+    if total == 0.0:
+        return 0.0
+    # Q~(s) = u_s^* Q~ u_s: the phases u_s around the constant Q~ = V^dagger Q V, as
+    # one product from each side, at axes (a, s, k', k, b) for D(s)[(k, a), (k', b)]
+    q = v.conj().T @ q_prev[0] @ v
+    dq = core * u[:, None, :, None, None] * u.conj()[:, None, None, :, None]
+    dq = ((q @ dq.transpose(2, 0, 4, 1, 3).reshape(d, -1)).reshape(-1, d) @ q).reshape(d, nt, r, r, d)
+    norm = float(w @ np.einsum("askka->s", dq).real)
+    if norm <= 1e-300:
+        raise ZeroProbabilityError("reduction has zero probability")
+    q_last = _system_projectors([last.q_proj], rho.space, n)
+    mask_last = clock._window_mask(last.t0, last.delta)
+    # the outer phases u_s^*, w_s and 1/N, then rows (k', k)
+    dq *= (u.conj().T / norm)[:, :, None, None, None] * (w[:, None] * u)[None, :, None, None, :]
+    dq = dq.transpose(2, 3, 1, 0, 4).reshape(r * r, nt * d * d)
+    # e^{-i dispersion (t_m - t_0)} for m = 0 ... nt - 1, and m < 0 as the conjugates
+    phase = phase.conj() * phase[0]
+    phase = np.concatenate([phase[:0:-1].conj(), phase])
+    # the grid is periodic, so e^{-iH_c tau} between nodes x and y is its inverse
+    # FFT at x - y mod n: O_m[j, l] gathered from one FFT per m
+    prop = np.fft.ifft(phase)
+    o = prop[:, (np.flatnonzero(mask_last)[:, None] - np.flatnonzero(mask)) % n]
+    g = (o.conj().transpose(0, 2, 1) @ o).reshape(2 * nt - 1, r * r)
+    # M(t) = sum_s Y[t - s + nt - 1, s] for Y = G D, over s-chunks of Y
+    lag = np.arange(nt)[:, None] - np.arange(nt) + nt - 1
+    marginal = np.zeros((nt, d * d), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // ((2 * nt - 1) * d * d))
+    for start in range(0, nt, step):
+        sl = slice(start, min(start + step, nt))
+        y = (g @ dq[:, start * d * d : sl.stop * d * d]).reshape(2 * nt - 1, -1, d * d)
+        marginal += y[lag[:, sl], np.arange(sl.stop - start)].sum(axis=1)
+    kernel = _phase_sum(marginal.reshape(nt, d, d), u, w)
+    return total * float(_kernel_probabilities(kernel, v, q_last, last.t0)[0])
+
+
 # flop rate of the matmul route over the FFT route, set from the README clock
 # (numpy 2.4 pocketfft, OpenBLAS, x86-64): the routes took equal times at
 # r / log2 n = 6.8 on two OpenBLAS threads and 5.0 on one, so the rate sits
@@ -487,10 +587,7 @@ def _conditional_probabilities(
     if rho.factor is None:
         for sl, _, m in _window_cores(rho, clock, mask, t_grid, v, "traced"):
             # u_t as a d-vector: d exponentials per time, not d^2
-            u = np.exp(-1j * np.outer(t_grid[sl], lam))
-            m *= u.conj()[:, None, :]
-            m *= (w[sl, None] * u)[:, :, None]
-            kernel += m.sum(axis=0)
+            kernel += _phase_sum(m, np.exp(-1j * np.outer(t_grid[sl], lam)), w[sl])
     else:
         # sqrt(w_t) u_t^*, taken before any BLAS call: a complex exp issued
         # right after one ran several times slower (OpenBLAS 0.3.31, x86-64)
@@ -501,6 +598,13 @@ def _conditional_probabilities(
             x = x.reshape(d_sys, x.shape[1] * x.shape[2])
             kernel += x @ x.conj().T
         kernel = kernel.conj()
+    return _kernel_probabilities(kernel, v, sys_projs, t0)
+
+
+def _kernel_probabilities(kernel: np.ndarray, v: np.ndarray, sys_projs: np.ndarray, t0: float) -> np.ndarray:
+    """p = Tr(Q~ K) / Tr K for each member of the stack ``sys_projs``, with K
+    the d x d kernel in the eigenbasis ``v`` of h; a vanishing Tr K means the
+    clock never reads ``t0`` on the state."""
     den = float(kernel.trace().real)
     if den <= 0.0:
         raise UnreachableReadingError(f"clock never reads {t0} on this state: normalization {den}")
@@ -847,7 +951,12 @@ def history_probability(
     t_grid: np.ndarray | None = None,
 ) -> float:
     """Chained probability of an ordered sequence of (projector, reading) events:
-    each factor conditions on the state reduced by the preceding events."""
+    each factor conditions on the state reduced by the preceding events.
+
+    Where the state before the last event would be dense (``_keeps_factor``
+    fails for the state before the next-to-last one) and the grid is
+    uniform, the last two factors come from the window cores of the state
+    before them (``_history_pair``), without that dense state."""
     events = [_as_event(e) for e in events]
     for e in events:
         if e.q_proj is None or e.t0 is None:
@@ -857,7 +966,11 @@ def history_probability(
         raise ValueError(f"history readings must be ordered in T, got {readings}")
     total = 1.0
     state = rho
+    grid = clock._t_grid(t_grid)
     for i, e in enumerate(events):
+        if i + 2 == len(events) and not _keeps_factor(state, grid, 1) and _uniform(grid):
+            # sigma_{k-1} would be dense: both last factors come from this state's cores
+            return _history_pair(state, clock, e, events[-1], h_system, grid, total)
         # the factor conditions on the event's own window, as its reduction does
         p = float(_conditional_probabilities(state, [e.q_proj], clock, e.t0, h_system, t_grid, e.delta)[0])
         total *= p

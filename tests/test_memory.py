@@ -13,9 +13,11 @@ weighted sum from an (nt, d) table of phases e^{-i lambda t} without that
 stack.  A conditioned state of the register system (a 6-spin register,
 d = 128) applies its system operator in that eigenbasis too, scaled by
 d-vectors of phases, so ``reduce_state`` and ``detect_event`` hold the factor
-Y of nt columns and chunk buffers, and no (nt, d, d) stack beside it.  The
-reading densities of several readings come from one clock
-evolution walked over t-chunks.  No timing is asserted.  Each test also
+Y of nt columns and chunk buffers, and no (nt, d, d) stack beside it.  A
+history chain whose state before its last event would be dense takes its
+last two factors from the window cores of the state before that one, with
+no (n d)^2 matrix.  The reading densities of several readings come from one
+clock evolution walked over t-chunks.  No timing is asserted.  Each test also
 checks its result through an independent path, since at these sizes the
 kernel walks the time grid in several chunks.  The spin-register oracle walks
 its times in chunks of about 2^14 register entries, so its bound,
@@ -104,6 +106,24 @@ def test_rho_event_peak(readme_case):
     # sigma_z commutes with the pointer family: the system is the pinched evolved qubit
     system = rc.partial_trace(out, [1]).matrix
     np.testing.assert_allclose(system, rc.events.pinch(schrodinger_plus(h, T0), family), atol=1e-9)
+
+
+def test_three_event_history_peak(readme_case):
+    # the state between the last two events would be dense, (n d)^2 = 16 MiB with
+    # its check: the last two factors come from the cores of the state before them
+    clock, _, h = readme_case
+    rho = clock.rho0.tensor(rc.DensityOperator.from_matrix(PLUS, (2,)))
+    up = np.diag([1.0, 0.0]).astype(complex)
+    events = [(PLUS, 1.5), (up, 2.0), (PLUS, 2.6)]
+    p, peak = traced_peak_mb(lambda: rc.history_probability(rho, clock, events, h_system=h))
+    assert peak <= LIMIT_MB
+    # the chain through the conditioned states themselves
+    want, state = 1.0, rho
+    for i, (q, t0) in enumerate(events):
+        want *= rc.conditional_probability(state, q, clock, t0, h_system=h)
+        if i + 1 < len(events):
+            state = rc.reduce_state(state, clock, [(q, t0)], h_system=h)
+    assert p == pytest.approx(want, abs=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -766,6 +766,136 @@ class TestHistoryProbability:
             rc.history_probability(rho, ideal_clock, [(P_UP, 2.0), (P_UP, 1.0)], h_system=h_z)
 
 
+def random_projector(rng, d: int, rank: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))
+    return q @ q.conj().T
+
+
+def brute_history(rho, clock, events, h_sys, t_grid) -> float:
+    """The chain of brute conditional probabilities, each on the brute
+    reduction of the state by the events before it."""
+    h_c = clock.h_clock.matrix
+
+    def window(e):
+        half = clock.delta_c if e.delta is None else e.delta
+        return np.diag(((clock.x >= e.t0 - half) & (clock.x <= e.t0 + half)).astype(complex))
+
+    total, state = 1.0, rho.matrix
+    for i, e in enumerate(events):
+        total *= oracles.brute_conditional_probability(state, e.q_proj, window(e), h_c, h_sys, t_grid)
+        if i + 1 < len(events):
+            state = oracles.brute_reduce_state(state, [(e.q_proj, e.t0)], lambda _: window(e), h_c, h_sys, t_grid)
+    return total
+
+
+def reduce_then_condition(rho, clock, events, h, t_grid=None) -> float:
+    """The chain through the package's conditioned states: each factor from
+    ``_conditional_probabilities`` on the state ``reduce_state`` returns."""
+    total, state = 1.0, rho
+    for i, e in enumerate(events):
+        total *= float(rc.relational._conditional_probabilities(state, [e.q_proj], clock, e.t0, h, t_grid, e.delta)[0])
+        if i + 1 < len(events):
+            state = rc.reduce_state(state, clock, [e], h, t_grid)
+    return total
+
+
+class TestHistoryPair:
+    """The last two factors of a chain from the cores of the state before
+    them, where the state between them would not keep its factor."""
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_qubit_chain_matches_the_brute_chain(self, small_clock, h_x, form, steps):
+        rng = np.random.default_rng(2301 + steps)
+        rho = product_state(small_clock, qubit_state(rng, form), form)
+        readings = (0.3, 0.7, 1.0, 1.3)[:steps]
+        events = [rc.ReductionEvent(random_projector(rng, 2, 1), t0, 0.5 if i == 1 else None)
+                  for i, t0 in enumerate(readings)]
+        t_grid = np.linspace(0.0, small_clock.tau, 13)
+        got = rc.history_probability(rho, small_clock, events, h_system=h_x, t_grid=t_grid)
+        want = brute_history(rho, small_clock, events, h_x.matrix, t_grid)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("form, with_h, steps", [("dense", True, 4), ("factored", False, 3)])
+    def test_entangled_chain_matches_the_brute_chain(self, small_clock, form, with_h, steps):
+        rng = np.random.default_rng(2311 + 2 * steps + with_h)
+        rho = entangled_state(rng, small_clock, 4, form)
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 4)) if with_h else None
+        t_grid = np.linspace(0.0, small_clock.tau, 13)
+        readings = (0.3, 0.6, 1.0, 1.2)[:steps]
+        # the next-to-last projector, whose reduction the cores carry, of rank 2
+        events = [rc.ReductionEvent(random_projector(rng, 4, 2 if i == steps - 2 else 1), t0, 0.45 if i == 0 else None)
+                  for i, t0 in enumerate(readings)]
+        got = rc.history_probability(rho, small_clock, events, h_system=h, t_grid=t_grid)
+        want = brute_history(rho, small_clock, events, np.zeros((4, 4)) if h is None else h.matrix, t_grid)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("kind", ["pure", "rank-2", "dense"])
+    def test_matches_reduce_then_condition(self, monkeypatch, kind, n, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(rc.relational, "_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(2331 + n)
+        clock = rc.build_free_particle_clock(n, mass=30.0, sigma0=0.5, delta_c=0.35, tau=2.8)
+        if kind == "pure":
+            rho = clock.rho0.tensor(rc.DensityOperator.from_vector(oracles.random_unitary(rng, 2)[:, 0], (2,)))
+        else:
+            rho = product_state(clock, qubit_state(rng, "dense" if kind == "dense" else "factored"), kind.split("-")[0])
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2))
+        for _ in range(3):
+            readings = np.sort(rng.uniform(0.6, 2.2, 3))
+            events = [rc.ReductionEvent(random_projector(rng, 2, 1), float(t0)) for t0 in readings]
+            for chain in (events, events[1:]):
+                got = rc.history_probability(rho, clock, chain, h_system=h)
+                assert got == pytest.approx(reduce_then_condition(rho, clock, chain, h), abs=1e-12)
+
+    def test_route(self, small_clock, h_x, monkeypatch):
+        rng = np.random.default_rng(2341)
+        pure = entangled_state(rng, small_clock, 2, "factored")
+        dense = product_state(small_clock, qubit_state(rng), "dense")
+        events = [(P_UP, 0.3), (P_PLUS, 0.7), (P_UP, 1.0)]
+        chain = [rc.ReductionEvent(*e) for e in events]
+        want = [reduce_then_condition(pure, small_clock, chain, h_x),
+                reduce_then_condition(dense, small_clock, chain[:2], h_x)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route this chain must not take")
+
+        monkeypatch.setattr(rc.relational, "_window_sandwich", refuse)
+        got = [rc.history_probability(pure, small_clock, events, h_system=h_x),
+               rc.history_probability(dense, small_clock, events[:2], h_system=h_x)]
+        assert got == pytest.approx(want, abs=1e-12)
+        monkeypatch.undo()
+        # a pure two-event chain keeps its reduced state as a factor, and on a grid
+        # that is not uniform the overlaps do not depend on t - s alone
+        monkeypatch.setattr(rc.relational, "_history_pair", refuse)
+        two = rc.history_probability(pure, small_clock, events[:2], h_system=h_x)
+        assert two == pytest.approx(reduce_then_condition(pure, small_clock, chain[:2], h_x), abs=1e-12)
+        uneven = np.linspace(0.0, small_clock.tau, 13) ** 1.1 / small_clock.tau**0.1
+        assert rc.relational._uniform(small_clock.default_t_grid()) and not rc.relational._uniform(uneven)
+        three = rc.history_probability(pure, small_clock, events, h_system=h_x, t_grid=uneven)
+        assert three == pytest.approx(reduce_then_condition(pure, small_clock, chain, h_x, uneven), abs=1e-12)
+
+    def test_error_paths(self, small_clock):
+        up = rc.DensityOperator.from_matrix(P_UP, (2,))
+        rho = product_state(small_clock, up, "dense")
+        p_down = I2 - P_UP
+        # the first factor vanishes exactly without h; a vanishing last factor returns ~0
+        assert rc.history_probability(rho, small_clock, [(p_down, 0.3), (P_UP, 0.7)]) == 0.0
+        assert rc.history_probability(rho, small_clock, [(P_UP, 0.3), (p_down, 0.7)]) == pytest.approx(0.0, abs=1e-15)
+        # a window between two grid nodes
+        empty = rc.ReductionEvent(P_UP, 0.7, 0.1 * small_clock.dx)
+        assert not small_clock._window_mask(empty.t0, empty.delta).any()
+        with pytest.raises(rc.UnreachableReadingError):
+            rc.history_probability(rho, small_clock, [(P_UP, 0.3), empty])
+        with pytest.raises(rc.UnreachableReadingError):
+            rc.history_probability(rho, small_clock, [(P_UP, 0.3), (P_UP, 40.0)])
+        for events in ([(0.5 * I2, 0.3), (P_UP, 0.7)], [(P_UP, 0.3), (0.5 * I2, 0.7)]):
+            with pytest.raises(rc.ValidationError, match="supplied operator is not a projector"):
+                rc.history_probability(rho, small_clock, events)
+
+
 class TestQuasiProjector:
     def test_exact_projector_rank_three(self):
         f = np.diag([1.0, 1.0, 1.0, 0.0, 0.0]).astype(complex)
