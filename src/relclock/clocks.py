@@ -148,10 +148,10 @@ class ClockModel:
     def _window_mask(self, t0: float, half_width: float | None = None) -> np.ndarray:
         """Grid nodes whose reading (the grid position) lies within
         ``half_width`` (default ``delta_c``) of ``t0``; a window beyond the
-        grid's range raises."""
+        grid's range, or around a NaN reading, raises."""
         half = self.delta_c if half_width is None else half_width
         lo, hi = t0 - half, t0 + half
-        if hi < float(self.x[0]) or lo > float(self.x[-1]):
+        if not (hi >= float(self.x[0]) and lo <= float(self.x[-1])):
             raise UnreachableReadingError(
                 f"reading {t0} lies outside the clock range [{self.x[0]}, {self.x[-1]}]"
             )

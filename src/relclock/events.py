@@ -33,50 +33,17 @@ from .states import (
     ProjectorFamily,
     ValidationError,
     _norm_exceeds,
-    evolution_operator,
 )
-
-
-def _schrodinger_frame(
-    state: DensityOperator, clock: ClockModel, t0: float, h_system: Observable | None
-) -> DensityOperator:
-    """Rotate a Heisenberg-picture conditioned state into the Schroedinger
-    frame labeled by the clock reading.  Pure change of frame: projector-test
-    distinguishability of two states conditioned at the same reading is
-    unaffected."""
-    n, dim = clock.n, state.dim
-    d_sys = dim // n
-    u_sys = evolution_operator(h_system, t0) if h_system is not None else np.eye(d_sys, dtype=complex)
-    phase = np.exp(-1j * clock.dispersion * t0)
-
-    def evolve_rows(m: np.ndarray) -> np.ndarray:
-        # (e^{-i H_c t0} (x) u_sys) m, the clock factor as an FFT phase
-        cols = m.shape[1]
-        m = np.fft.fft(m.reshape(n, d_sys, cols), axis=0)
-        # in place, with the operands in the order that phase * m rounds in
-        np.multiply(phase[:, None, None], m, out=m)
-        m = np.fft.ifft(m, axis=0)
-        return (u_sys @ m).reshape(dim, cols)
-
-    if state.factor is not None:
-        # U F F^dagger U^dagger = (U F)(U F)^dagger: only the factor's rows rotate
-        return DensityOperator(None, state.space, factor=evolve_rows(state.factor))
-    # U m U^dagger = (U (U m)^dagger)^dagger, taken into a C-ordered matrix: the
-    # checker's elementwise passes run slower on a transposed layout.  No name
-    # holds the intermediate, which would keep one more matrix alive in the checker.
-    return DensityOperator(
-        matrix=np.conj(evolve_rows(evolve_rows(state.matrix).conj().T).T, order="C"), space=state.space
-    )
 
 
 def _conditioned_state(rho, clock, t0, sys_ops, h_system, t_grid, picture, zero) -> DensityOperator:
     """The normalized window sandwich around ``t0`` over ``sys_ops`` ([I] for
-    ``rho_mod``, the family for ``rho_event``), rotated into the Schroedinger
-    frame unless ``picture`` is "heisenberg".  A vanishing trace raises ``zero``."""
+    ``rho_mod``, the family for ``rho_event``), in the Schroedinger frame of
+    the reading t0 unless ``picture`` is "heisenberg".  A vanishing trace raises ``zero``."""
     if picture not in ("heisenberg", "schrodinger"):
         raise ValueError(f"unknown picture {picture!r}")
-    out = _sandwich_state(rho, clock, clock._window_mask(t0), sys_ops, h_system, clock._t_grid(t_grid), zero)
-    return out if picture == "heisenberg" else _schrodinger_frame(out, clock, t0, h_system)
+    mask, frame = clock._window_mask(t0), (t0 if picture == "schrodinger" else 0.0)
+    return _sandwich_state(rho, clock, mask, sys_ops, h_system, clock._t_grid(t_grid), zero, frame)
 
 
 def rho_mod(

@@ -187,20 +187,18 @@ def _window_cores(
     mask: np.ndarray,
     t_grid: np.ndarray,
     basis: np.ndarray,
-    form: str = "core",
 ):
-    """Yield ``(sl, e, out)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
+    """Yield ``(sl, e, core)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
 
     With E the isometry onto the r grid nodes in ``mask``, ``e[t]`` is the
     transpose of e^{iH_c t} E (shape (c, r, n)) and factors the Heisenberg
     window as W(t) = e[t]^T conj(e[t]); h_clock is diagonal in the Fourier
     basis, so ``e`` is a batch of FFTs (phases from ``clock._phases``), each
-    along the last, contiguous axis.  ``out`` depends on ``form``:
-
-    - ``"core"``: core[t] = (e[t]^dagger (x) I) rho (e[t] (x) I), with the entry
-      [(k, a), (k', b)] at axes (k, a, b, k'): (r d)^2 numbers per time where
-      the Heisenberg-evolved full-space window takes (n d)^2;
-    - ``"traced"`` (dense states only): the d x d marginal Tr_r core[t].
+    along the last, contiguous axis.  core[t] = (e[t]^dagger (x) I) rho
+    (e[t] (x) I), with the entry [(k, a), (k', b)] at axes (k, a, b, k'):
+    (r d)^2 numbers per time where the Heisenberg-evolved full-space window
+    takes (n d)^2; its d x d marginal Tr_r core[t] is
+    ``np.einsum("tkabk->tab", core)``.
 
     The unitary ``basis`` V on the system factor runs all of this on
     (I (x) V^dagger) rho (I (x) V): the state is rotated once, not per time.
@@ -239,8 +237,7 @@ def _window_cores(
             continue
         y = rho_j @ e.transpose(2, 0, 1).reshape(n, c * r)
         y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
-        core = (e.conj() @ y).reshape(c, r, d, d, r)
-        yield sl, e, np.einsum("tkabk->tab", core) if form == "traced" else core
+        yield sl, e, (e.conj() @ y).reshape(c, r, d, d, r)
 
 
 def _phase_sum(m: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -417,24 +414,31 @@ def _window_factor(
     sys_ops: Sequence[np.ndarray],
     h_system: Observable | None,
     t_grid: np.ndarray,
+    frame: float = 0.0,
 ) -> np.ndarray:
     """The factor Y of the window sandwich of a Gram-factored rho = F F^dagger:
-    its columns sqrt(w_t) (W(t) (x) S(t)) F, ordered (t, S, k), give the
-    sandwich as Y Y^dagger.  W(t) is the identity for ``mask`` None.
+    its columns sqrt(w_t) U (W(t) (x) S(t)) F, ordered (t, S, k), give the
+    sandwich as Y Y^dagger.  W(t) is the identity for ``mask`` None, and
+    U = e^{-i(H_c + h) T0} labels the state by the reading T0 = ``frame``
+    (U = I at 0, the Heisenberg picture).
 
-    In h's eigenbasis V, S(t) = V u_t S~ u_t^* V^dagger with S~ = V^dagger S V
-    and u_t = e^{i lambda t} a d-vector, so a column is (I (x) V) e^{iH_c t} E Z
-    with Z = u_t S~ L(t), L(t) the rows of ``_window_rows`` scaled by
-    sqrt(w_t) u_t^*.  Back on the clock nodes e^{iH_c t} E Z =
-    ifft(P_t (.) fft(E) Z): one inverse FFT per column and time, fft(E) Z by
-    one matmul per column (S, a, k) with the window's DFT rows on
-    ``_rows_by_matmul``'s matmul route, else by an FFT of E Z."""
+    In h's eigenbasis V, U S(t) = V u_{t-T0} S~ u_t^* V^dagger with
+    S~ = V^dagger S V and u_t = e^{i lambda t} a d-vector, so a column is
+    (I (x) V) e^{iH_c (t-T0)} E Z with Z = u_{t-T0} S~ L(t), L(t) the rows of
+    ``_window_rows`` scaled by sqrt(w_t) u_t^*.  Back on the clock nodes
+    e^{iH_c (t-T0)} E Z = ifft(P_t e^{-i dispersion T0} (.) fft(E) Z): one
+    inverse FFT per column and time, fft(E) Z by one matmul per column
+    (S, a, k) with the window's DFT rows on ``_rows_by_matmul``'s matmul
+    route, else by an FFT of E Z."""
     n = clock.n
     d = rho.dim // n
     nt, m, k = t_grid.size, len(sys_ops), rho.factor.shape[1]
     v, lam = _eigenbasis(h_system, d)
-    # u_t = e^{i lambda t}, taken before any BLAS call (see ``_conditional_probabilities``)
+    # u_t = e^{i lambda t}, u_{t-T0} and e^{-i dispersion T0}, taken before any
+    # BLAS call (see ``_conditional_probabilities``)
     u = np.exp(1j * np.outer(t_grid, lam))
+    left = np.exp(1j * np.outer(t_grid - frame, lam)) if frame else u
+    shift = np.exp(-1j * frame * clock.dispersion) if frame else None
     scale = u * np.sqrt(clock._quadrature_weights(t_grid))[:, None]
     basis, s = (None, np.asarray(sys_ops)) if h_system is None else (v, v.conj().T @ sys_ops @ v)
     mask = np.ones(n, dtype=bool) if mask is None else mask
@@ -443,10 +447,10 @@ def _window_factor(
     y = np.empty((n, d, nt, m, k), dtype=complex)
     for sl, phase, x in _window_rows(rho.factor, clock, mask, t_grid, scale, basis, dft, 2 * m * d * k * n):
         c = phase.shape[0]
-        # V u_t S~ L(t) with L(t) = conj(x): (d, d) x (d, k r c) products per S
+        # V u_{t-T0} S~ L(t) with L(t) = conj(x): (d, d) x (d, k r c) products per S
         z = (s @ x.conj().reshape(d, k * r * c)).reshape(m, d, k * r, c)
         if basis is not None:  # without h, V = I and u_t = 1
-            z *= u[sl].T[:, None, :]
+            z *= left[sl].T[:, None, :]
             z = v @ z.reshape(m, d, k * r * c)
         z = z.reshape(m * d * k, r, c).transpose(0, 2, 1)  # each column (S, a, k) as (c, r), times first
         if dft is not None:
@@ -455,7 +459,7 @@ def _window_factor(
             b = np.zeros((m * d * k, c, n), dtype=complex)
             b[:, :, mask] = z
             b = np.fft.fft(b)
-        b *= phase
+        b *= phase if shift is None else phase * shift
         y[:, :, sl] = np.fft.ifft(b).reshape(m, d, k, c, n).transpose(4, 1, 3, 0, 2)
     return y.reshape(n * d, nt * m * k)
 
@@ -467,38 +471,53 @@ def _window_sandwich(
     sys_ops: Sequence[np.ndarray],
     h_system: Observable | None,
     t_grid: np.ndarray,
+    frame: float = 0.0,
 ) -> np.ndarray:
-    """sum_t w_t sum_S (W(t) (x) S(t)) rho (W(t) (x) S(t))^dagger, with W(t) the
-    Heisenberg window on the grid nodes in ``mask`` (the identity for None) and
-    S(t) the Heisenberg-evolved system operators, built without any full-space
+    """sum_t w_t sum_S U (W(t) (x) S(t)) rho (W(t) (x) S(t))^dagger U^dagger, with
+    W(t) the Heisenberg window on the grid nodes in ``mask`` (the identity for
+    None), S(t) the Heisenberg-evolved system operators and U the frame of the
+    reading ``frame`` as in ``_window_factor``, built without any full-space
     stack: each time contributes (e(t) (x) I) G(t) (e(t) (x) I)^dagger with
     G(t) the system channel on the (r d)^2 core in h's eigenbasis V, there
-    diag(p_t) C diag(p_t)^*, C = sum_S S~ (x) conj(S~), p_t = u_t (x) conj(u_t)."""
+    diag(p_t) C diag(p_t)^*, C = sum_S S~ (x) conj(S~), p_t = u_t (x) conj(u_t).
+    U rotates back from that basis with V diag(e^{-i lambda T0}) in place of V,
+    and e^{-iH_c T0} is one FFT pair on each clock index."""
     n = clock.n
     d = rho.dim // n
     v, lam = _eigenbasis(h_system, d)
     u = np.exp(1j * np.outer(t_grid, lam))
+    back = v * np.exp(-1j * frame * lam) if frame else v
     p = (u[:, :, None] * u.conj()[:, None, :]).reshape(t_grid.size, d * d)
     w = clock._quadrature_weights(t_grid)
     s = v.conj().T @ np.asarray(sys_ops, dtype=complex) @ v
     chan = np.einsum("sac,sbd->abcd", s, s.conj()).reshape(d * d, d * d)
     if mask is None:
-        # W(t) = I: only the system channel acts, summed over t and rotated back by V (x) conj(V)
-        vv = np.kron(v, v.conj())
-        chan = vv @ (chan * ((p.T * w) @ p.conj())) @ vv.conj().T
+        # W(t) = I: only the system channel acts, summed over t and rotated back
+        chan = np.kron(back, back.conj()) @ (chan * ((p.T * w) @ p.conj())) @ np.kron(v, v.conj()).conj().T
         blocks = rho.matrix.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
-        return (chan @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1).reshape(n * d, n * d)
-    chan = (w[:, None] * p)[:, :, None] * chan * p.conj()[:, None, :]
-    acc = np.zeros((n, d * d * n), dtype=complex)
-    for sl, e, core in _window_cores(rho, clock, mask, t_grid, v):
-        c, r = e.shape[:2]
-        g = chan[sl] @ core.transpose(0, 2, 3, 1, 4).reshape(c, d * d, r * r)
-        # rows (k, a, b), columns k', times conj(e) on the right, then e^T over (t, k)
-        g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r * d * d, r) @ e.conj()
-        acc += e.reshape(c * r, n).T @ g.reshape(c * r, d * d * n)
-    # back from h's eigenbasis: (I (x) V) out (I (x) V^dagger)
-    out = v @ acc.reshape(n, d, d, n).transpose(0, 1, 3, 2).reshape(n, d, n * d)
-    return (out.reshape(n * d * n, d) @ v.conj().T).reshape(n * d, n * d)
+        out = (chan @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1)
+    else:
+        chan = (w[:, None] * p)[:, :, None] * chan * p.conj()[:, None, :]
+        acc = np.zeros((n, d * d * n), dtype=complex)
+        for sl, e, core in _window_cores(rho, clock, mask, t_grid, v):
+            c, r = e.shape[:2]
+            g = chan[sl] @ core.transpose(0, 2, 3, 1, 4).reshape(c, d * d, r * r)
+            # rows (k, a, b), columns k', times conj(e) on the right, then e^T over (t, k)
+            g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r * d * d, r) @ e.conj()
+            acc += e.reshape(c * r, n).T @ g.reshape(c * r, d * d * n)
+        # back from h's eigenbasis: (I (x) V) out (I (x) V^dagger)
+        out = back @ acc.reshape(n, d, d, n).transpose(0, 1, 3, 2).reshape(n, d, n * d)
+        out = (out.reshape(n * d * n, d) @ back.conj().T).reshape(n, d, n, d)
+    if frame:
+        # e^{-iH_c T0} (.) e^{iH_c T0} on the clock indices (i, j) of out[i, a, j, b],
+        # one statement per FFT so that no more than two such arrays are alive
+        shift = np.exp(-1j * frame * clock.dispersion)
+        out = np.fft.fft(out, axis=0)
+        out = np.fft.ifft(out, axis=2)
+        out *= np.multiply.outer(shift, shift.conj())[:, None, :, None]
+        out = np.fft.ifft(out, axis=0)
+        out = np.fft.fft(out, axis=2)
+    return out.reshape(n * d, n * d)
 
 
 def _keeps_factor(rho: DensityOperator, t_grid: np.ndarray, n_ops: int) -> bool:
@@ -516,17 +535,19 @@ def _sandwich_state(
     h_system: Observable | None,
     t_grid: np.ndarray,
     zero: Exception,
+    frame: float = 0.0,
 ) -> DensityOperator:
-    """The window sandwich normalized to unit trace.  A Gram-factored rho whose
-    factor Y (``_window_factor``) has no more columns than rows gives the
-    factored state Y / ||Y||_F; any other rho gives the dense num / tr num of
-    ``_window_sandwich``.  A vanishing trace raises ``zero``."""
+    """The window sandwich normalized to unit trace, in the frame of the
+    reading ``frame`` (0 for the Heisenberg picture).  A Gram-factored rho
+    whose factor Y (``_window_factor``) has no more columns than rows gives
+    the factored state Y / ||Y||_F; any other rho gives the dense
+    num / tr num of ``_window_sandwich``.  A vanishing trace raises ``zero``."""
     factored = _keeps_factor(rho, t_grid, len(sys_ops))
     if factored:
-        out = _window_factor(rho, clock, mask, sys_ops, h_system, t_grid)
+        out = _window_factor(rho, clock, mask, sys_ops, h_system, t_grid, frame)
         den = float(np.vdot(out, out).real)
     else:
-        out = _window_sandwich(rho, clock, mask, sys_ops, h_system, t_grid)
+        out = _window_sandwich(rho, clock, mask, sys_ops, h_system, t_grid, frame)
         den = float(out.trace().real)
     if den <= 1e-300:
         raise zero
@@ -585,9 +606,9 @@ def _conditional_probabilities(
 
     kernel = np.zeros((d_sys, d_sys), dtype=complex)
     if rho.factor is None:
-        for sl, _, m in _window_cores(rho, clock, mask, t_grid, v, "traced"):
+        for sl, _, core in _window_cores(rho, clock, mask, t_grid, v):
             # u_t as a d-vector: d exponentials per time, not d^2
-            kernel += _phase_sum(m, np.exp(-1j * np.outer(t_grid[sl], lam)), w[sl])
+            kernel += _phase_sum(np.einsum("tkabk->tab", core), np.exp(-1j * np.outer(t_grid[sl], lam)), w[sl])
     else:
         # sqrt(w_t) u_t^*, taken before any BLAS call: a complex exp issued
         # right after one ran several times slower (OpenBLAS 0.3.31, x86-64)
@@ -896,6 +917,12 @@ class ReductionEvent:
     q_proj: np.ndarray | None = None
     t0: float | None = None
     delta: float | None = None
+
+    def __post_init__(self):
+        if self.t0 is not None and not math.isfinite(self.t0):
+            raise ValueError(f"reduction event t0 must be finite, got {self.t0!r}")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ValueError(f"reduction event delta must be positive and finite, got {self.delta!r}")
 
 
 def _as_event(e) -> ReductionEvent:

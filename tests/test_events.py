@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import relclock as rc
 from relclock import fixtures
@@ -135,58 +136,64 @@ class TestRhoEvent:
         assert np.max(np.abs(twice - once)) <= 1e-10
 
 
-def transposed_view_rotation(m, clock, t0, h):
-    """(e^{-iH_c t0} (x) u) m (e^{-iH_c t0} (x) u)^dagger as U (U m)^dagger,
-    conjugate-transposed at the end, with that last transpose left as a view."""
-    n, dim = clock.n, m.shape[0]
-    d = dim // n
-    u = rc.states.evolution_operator(h, t0)
-    phase = np.exp(-1j * clock.dispersion * t0)
+class TestReadingFrame:
+    """The default picture labels a conditioned state by the reading T0: it is
+    U0 X U0^dagger for the Heisenberg-picture sandwich X and
+    U0 = e^{-i(H_c (x) I + I (x) h) T0}.  The tests draw from their own
+    generators, so the session generator's draws for the tests after them
+    stay as they were."""
 
-    def rows(x):
-        x = np.fft.ifft(phase[:, None, None] * np.fft.fft(x.reshape(n, d, dim), axis=0), axis=0)
-        return (u @ x).reshape(dim, dim)
-
-    out = rows(rows(m).conj().T).conj().T
-    assert not out.flags.c_contiguous
-    return out
-
-
-class TestSchrodingerFrame:
     @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
-    def test_c_ordered_rotation_is_bitwise_the_transposed_one(
-        self, free_clock, h_z, rng, monkeypatch, conditioned
-    ):
-        # a dense input keeps dense conditioned states, which the rotation takes as matrices
-        rho = product_state(free_clock, qubit_state(rng), "dense")
+    @pytest.mark.parametrize("with_h", [True, False])
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("clock_name", ["small_clock", "ideal_clock"])
+    def test_matches_the_rotated_brute_force_sandwich(self, request, clock_name, form, with_h, conditioned):
+        # 17 times keep Y at 17 |S| k <= 68 columns of 80 or 96 rows, so the
+        # factored form takes the factor kernel and the dense one the dense sandwich
+        rng = np.random.default_rng(2600)
+        clock = request.getfixturevalue(clock_name)
+        t0 = 0.8 if clock_name == "small_clock" else 14 * clock.dx
+        rho = product_state(clock, qubit_state(rng, form), form)
+        h_sys = oracles.random_hermitian(rng, 2) if with_h else np.zeros((2, 2), dtype=complex)
+        h = rc.Observable.from_matrix(h_sys) if with_h else None
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        family = z_family()
+        if conditioned == "rho_mod":
+            got = rc.rho_mod(rho, clock, t0, h_system=h, t_grid=t_grid)
+            heisenberg = oracles.brute_reduce_state(
+                rho.matrix, [(None, t0)], clock.window_projector, clock.h_clock.matrix, h_sys, t_grid
+            )
+        else:
+            got = rc.rho_event(rho, family, clock, t0, h_system=h, t_grid=t_grid)
+            heisenberg = oracles.brute_rho_event(
+                rho.matrix, family.projectors, clock.window_projector(t0), clock.h_clock.matrix, h_sys, t_grid
+            )
+        assert (got.factor is not None) is (form == "factored")
+        u0 = expm(-1j * t0 * (np.kron(clock.h_clock.matrix, I2) + np.kron(np.eye(clock.n), h_sys)))
+        np.testing.assert_allclose(got.matrix, u0 @ heisenberg @ u0.conj().T, atol=1e-9)
+
+    @pytest.mark.parametrize("picture", ["schrodinger", "heisenberg"])
+    def test_a_nan_reading_is_unreachable(self, free_clock, h_z, picture):
+        # raised by the window, before a NaN frame phase reaches the state
+        rho = free_clock.rho0.tensor(rc.DensityOperator.from_vector([0.6, 0.8], (2,)))
+        with pytest.raises(rc.UnreachableReadingError, match="reading nan"):
+            rc.rho_mod(rho, free_clock, math.nan, h_system=h_z, picture=picture)
+        with pytest.raises(rc.UnreachableReadingError, match="reading nan"):
+            rc.rho_event(rho, z_family(), free_clock, math.nan, h_system=h_z, picture=picture)
+
+    @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
+    def test_dense_output_is_checked_once_and_c_ordered(self, free_clock, h_z, monkeypatch, conditioned):
+        # a dense input keeps dense conditioned states, which leave the window kernel in their frame
+        rho = product_state(free_clock, qubit_state(np.random.default_rng(2700)), "dense")
         extra = (z_family(),) if conditioned == "rho_event" else ()
-        call = getattr(rc, conditioned)
-        heisenberg = call(rho, *extra, free_clock, 1.5, h_system=h_z, picture="heisenberg")
-        want = rc.DensityOperator.from_matrix(
-            transposed_view_rotation(heisenberg.matrix, free_clock, 1.5, h_z), rho.space
-        )
         checked = []
         check = rc.states._check_density_stack
         monkeypatch.setattr(
             rc.states, "_check_density_stack", lambda m: checked.append(m.flags.c_contiguous) or check(m)
         )
-        got = call(rho, *extra, free_clock, 1.5, h_system=h_z)
-        assert np.array_equal(got.matrix, want.matrix)
-        # the Heisenberg-picture state, then its rotation: both handed over C-ordered
-        assert checked == [True, True]
-
-    @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
-    def test_factor_rows_rotate_like_the_dense_matrix(self, free_clock, h_z, rng, conditioned):
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        rho = free_clock.rho0.tensor(rc.DensityOperator.from_vector(psi, (2,)))
-        extra = (z_family(),) if conditioned == "rho_event" else ()
-        heisenberg = getattr(rc, conditioned)(rho, *extra, free_clock, 1.5, h_system=h_z, picture="heisenberg")
-        assert heisenberg.factor is not None
-        got = rc.events._schrodinger_frame(heisenberg, free_clock, 1.5, h_z)
-        assert got.factor is not None
-        dense = rc.DensityOperator.from_matrix(heisenberg.matrix, heisenberg.space)
-        want = rc.events._schrodinger_frame(dense, free_clock, 1.5, h_z)
-        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0.0, atol=1e-12)
+        got = getattr(rc, conditioned)(rho, *extra, free_clock, 1.5, h_system=h_z)
+        assert got.factor is None
+        assert checked == [True]
 
 
 class TestFactoredInput:
@@ -482,11 +489,15 @@ class TestDenseDetection:
         rho = rc.DensityOperator.from_matrix(twin.matrix, twin.space)
         family = fixtures.pointer_family_z()
         fused = rc.detect_event(twin, family, clock, 2.0, n_particles=10, alpha=0.3)
-        # the dense input takes neither the fused pass nor a frame rotation
+        # the dense input takes the window sandwich, not the fused pass, and
+        # asks for both conditioned states in the Heisenberg frame
+        frames = []
+        sandwich = rc.events._sandwich_state
         monkeypatch.setattr(rc.events, "_event_gap", None)
-        monkeypatch.setattr(rc.events, "_schrodinger_frame", None)
+        monkeypatch.setattr(rc.events, "_sandwich_state", lambda *args: frames.append(args[-1]) or sandwich(*args))
         dense = rc.detect_event(rho, family, clock, 2.0, n_particles=10, alpha=0.3)
         monkeypatch.undo()
+        assert frames == [0.0, 0.0]
         assert dense.event_occurred and fused.event_occurred
         assert abs(dense.distinguishability - fused.distinguishability) <= 1e-12
         assert dense.outcome_probabilities.keys() == fused.outcome_probabilities.keys()

@@ -704,6 +704,31 @@ class TestReduceState:
         with pytest.raises(rc.ZeroProbabilityError):
             rc.reduce_state(rho, ideal_clock, [(P_UP, 10 * ideal_clock.dx)])
 
+    @pytest.mark.parametrize(
+        "field, t0, delta",
+        [
+            ("delta", 1.0, -0.3),
+            ("delta", 1.0, 0.0),
+            ("delta", 1.0, math.nan),
+            ("delta", 1.0, math.inf),
+            ("t0", math.nan, None),
+            ("t0", math.inf, 0.3),
+            ("t0", -math.inf, None),
+        ],
+    )
+    def test_event_rejects_a_bad_reading_or_width(self, ideal_clock, field, t0, delta):
+        # caught where the event is built, not as a zero probability or an unreachable reading later
+        rho = ideal_clock.rho0.tensor(rc.DensityOperator.from_vector([0.6, 0.8], (2,)))
+        message = f"reduction event {field} must be"
+        with pytest.raises(ValueError, match=message):
+            rc.ReductionEvent(P_UP, t0, delta)
+        with pytest.raises(ValueError, match=message):
+            rc.reduce_state(rho, ideal_clock, [(P_UP, t0, delta)])
+        with pytest.raises(ValueError, match=message):
+            rc.history_probability(rho, ideal_clock, [(P_UP, 0.5), (P_UP, t0, delta)])
+        assert rc.ReductionEvent(P_UP, 1.0, 0.3).delta == 0.3
+        assert rc.ReductionEvent(P_UP).t0 is None
+
 
 class TestHistoryProbability:
     def test_single_event_equals_conditional(self, ideal_clock, h_z, rng):
