@@ -378,6 +378,9 @@ def detect_event(
 ) -> EventRecord:
     """Declare an event when the conditioned state and its pinching cannot be
     told apart by any projector test to better than exp(-alpha * N)."""
+    # a bool or a fractional count would set eps = exp(-alpha N) for one N and record another
+    if isinstance(n_particles, (bool, np.bool_)) or not float(n_particles).is_integer():
+        raise ValueError(f"n_particles must be an integer, got {n_particles!r}")
     if n_particles < 1:
         raise ValueError("n_particles must be at least 1")
     if not alpha > 0:

@@ -258,84 +258,186 @@ def _uniform(t_grid: np.ndarray) -> bool:
     return bool(np.abs(t_grid - steps).max() <= 4 * np.finfo(float).eps * np.abs(t_grid).max())
 
 
-def _history_pair(
+def _lag_band(y: np.ndarray, nt: int, lag: int, axis: int) -> np.ndarray:
+    """The read-only view of y with its ``lag`` axis, the nt + c - 1 lags
+    t - s (lowest first) of a chunk of c source times s along ``axis``,
+    replaced by t < nt: b[..., s, ..., t, ...] = y[..., s, ..., t - s + c - 1, ...].
+    A step in t is one lag and a step in s one entry of ``axis`` less one
+    lag, so the band of a convolution over t - s is gathered without index
+    arrays."""
+    c = y.shape[axis]
+    shape, strides = list(y.shape), list(y.strides)
+    shape[lag] = nt
+    strides[axis] -= strides[lag]
+    first = y[(slice(None),) * lag + (slice(c - 1, None),)]
+    return np.lib.stride_tricks.as_strided(first, shape, strides, writeable=False)
+
+
+def _carry(z: np.ndarray, o: np.ndarray, lift: np.ndarray, gram: bool) -> np.ndarray:
+    """Carry a reduction to the next window: the scaled rows
+    L'(t) = diag(lift_t) [(O_{t-s} (x) I) Z(s)]_s of the state that Z reduces
+    to, as L'(t)^T at axes (t, column, a, node), or with ``gram`` its scaled
+    cores L'(t) L'(t)^dagger at axes (t, a, node, b, node').
+
+    ``z`` holds Z(s) at axes (a, s, column, node) and ``o`` the 2 nt - 1
+    overlaps O_m, lag m = -(nt - 1) first.  Per chunk of source times s, one
+    product of the stacked Z with the stacked O of the chunk's lags gives
+    every (O_m (x) I) Z(s), and ``_lag_band`` picks m = t - s.  The cores are
+    summed over the chunks; a factor with more columns than rows is replaced
+    by R^T, R from the QR decomposition of L'(t)^T, updated per chunk."""
+    d, nt, c, r = z.shape
+    r_next = o.shape[1]
+    rows = d * r_next
+    # rows (s, column, a) against the node of the window Z lives on
+    zs = np.ascontiguousarray(z.transpose(1, 2, 0, 3)).reshape(nt * c * d, r)
+    compress = not gram and nt * c > rows
+    if gram:
+        out = np.zeros((nt, rows, rows), dtype=complex)
+    else:
+        out = np.empty((nt, 0 if compress else nt * c, rows), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // max(1, (2 * nt - 1) * rows * c))
+    for s0 in range(0, nt, step):
+        s1 = min(s0 + step, nt)
+        y = zs[s0 * c * d : s1 * c * d] @ o[nt - s1 : 2 * nt - 1 - s0].reshape(-1, r).T
+        band = _lag_band(y.reshape(s1 - s0, c, d, nt + s1 - s0 - 1, r_next), nt, 3, 0)
+        # (t, s, column, a, node), scaled and copied in one pass
+        band = (band.transpose(3, 0, 1, 2, 4) * lift[:, None, None, :, None]).reshape(nt, (s1 - s0) * c, rows)
+        if gram:
+            out += band.transpose(0, 2, 1) @ band.conj()
+        elif compress:
+            out = np.linalg.qr(np.concatenate([out, band], axis=1), mode="r")
+        else:
+            out[:, s0 * c : s1 * c] = band
+    return out.reshape(nt, d, r_next, d, r_next) if gram else out.reshape(nt, out.shape[1], d, r_next)
+
+
+def _history_chain(
     rho: DensityOperator,
     clock: ClockModel,
-    prev: ReductionEvent,
-    last: ReductionEvent,
+    events: Sequence[ReductionEvent],
     h_system: Observable | None,
     t_grid: np.ndarray,
     total: float,
 ) -> float:
-    """``total`` times the last two factors of a history chain on a uniform
-    time grid: p_{k-1} of ``prev`` on rho = sigma_{k-2}, and p_k of ``last``
-    on the state sigma_{k-1} that ``prev`` reduces rho to, without building
-    sigma_{k-1}.
+    """``total`` times the factors of a history chain of two or more events
+    on a uniform time grid, each conditioned on the state that the events
+    before it reduce rho to, without building any of those states.
 
-    With B(s) = e^{iH_c s} E_{k-1} and rho rotated into h's eigenbasis, both
-    come from the window cores C(s) = (B(s)^dagger (x) I) rho (B(s) (x) I):
-    p_{k-1} from Tr_r C(s), as a probability of a dense state, and
-    sigma_{k-1} = sum_s (B(s) (x) I) D(s) (B(s) (x) I)^dagger / N with
-    D(s) = w_s (I (x) Q~(s)) C(s) (I (x) Q~(s)) and N = sum_s Tr D(s).  The
-    windows meet through the overlaps O(t, s) = B_k(t)^dagger B(s) =
-    E_k^dagger e^{-iH_c (t - s)} E_{k-1}, which depend on t - s alone: on a
+    All of it runs in h's eigenbasis V, with u_t = e^{-i lambda t}.  With
+    B_j(s) = e^{iH_c s} E_j, E_j the isometry onto the r_j nodes of event j's
+    window, the state before event j enters through its window cores
+    C_j(s) = (B_j(s)^dagger (x) I) sigma_{j-1} (B_j(s) (x) I), taken scaled as
+    C'_j(s) = w_s (I (x) u_s) C_j(s) (I (x) u_s)^dagger.  p_j is the
+    probability of the kernel K_j = sum_s Tr_r C'_j(s), and the reduction by
+    event j is D_j(s) = (I (x) u_s^* Q~_j) C'_j(s) (I (x) Q~_j u_s) / N_j, with
+    Q~_j = V^dagger Q_j V and N_j = sum_s Tr D_j(s).  The windows meet through
+    the overlaps B_{j+1}(t)^dagger B_j(s) = O_{t-s}, with
+    O_m = E_{j+1}^dagger e^{-iH_c m dt} E_j, which depend on t - s alone: on a
     uniform grid there are 2 nt - 1 of them.  h_clock is diagonal in the
     Fourier basis of the periodic grid, so the propagator's entry between
-    nodes x and y is ifft(e^{-i dispersion (t - s)}) at x - y mod n, and
-    each O is gathered from one inverse FFT of a phase row.  With
-    G_m = O_m^dagger O_m, the marginal of event k is the convolution
+    nodes x and y is ifft(e^{-i dispersion m dt}) at x - y mod n, and each O
+    is gathered from one inverse FFT of a phase row.  Then
 
-        M(t) = sum_s Tr_r((G_{t-s} (x) I) D(s)) / N,
+        C_{j+1}(t) = sum_s (O_{t-s} (x) I) D_j(s) (O_{t-s} (x) I)^dagger.
 
-    the diagonal sums of one product of the (2 nt - 1, r^2) table of G with
-    the (r^2, nt d^2) stack of D, and p_k comes from the kernel
+    A dense rho (two events) takes its cores from ``_window_cores``.  A Gram
+    factor F carries each reduction as a factor per time instead: the first
+    window's scaled rows L'_1(t), with C'_1 = L'_1 L'_1^dagger, come from
+    ``_window_rows``; D_j(s) = Z_j(s) Z_j(s)^dagger with
+    Z_j(s) = (I (x) u_s^* Q~_j) L'_j(s) / sqrt(N_j); and ``_carry`` gives
+
+        L'_{j+1}(t) = sqrt(w_t) (I (x) u_t) [(O_{t-s} (x) I) Z_j(s)]_s,
+
+    or, for the next-to-last event, its cores.  With G_m = O_m^dagger O_m the
+    last event's marginal is the convolution
+
+        M(t) = sum_s Tr_r((G_{t-s} (x) I) D_{k-1}(s)),
+
+    the band sums of one product of the (2 nt - 1, r^2) table of G with the
+    (r^2, nt d^2) stack of D, and p_k comes from the kernel
     sum_t w_t u_t M(t) u_t^*."""
     n, d = _split_space(rho, clock)
-    q_prev = _system_projectors([prev.q_proj], rho.space, n)
     w = clock._quadrature_weights(t_grid)
     v, lam = _eigenbasis(h_system, d)
-    mask = clock._window_mask(prev.t0, prev.delta)
-    nt, r = t_grid.size, int(np.count_nonzero(mask))
-    # u_t = e^{-i lambda t} and the clock phases, taken before any BLAS call
-    # (see ``_conditional_probabilities``)
+    nt = t_grid.size
+    # u_t = e^{-i lambda t}, its scale sqrt(w_t) u_t and the clock phases, taken
+    # before any BLAS call (see ``_conditional_probabilities``)
     u = np.exp(-1j * np.outer(t_grid, lam))
+    lift = u * np.sqrt(w)[:, None]
     phase = clock._phases(t_grid, slice(None))
-    core = np.empty((nt, r, d, d, r), dtype=complex)
-    for sl, _, chunk in _window_cores(rho, clock, mask, t_grid, v):
-        core[sl] = chunk
-    p = _kernel_probabilities(_phase_sum(np.einsum("tkabk->tab", core), u, w), v, q_prev, prev.t0)
-    total *= float(p[0])
+    # e^{-i dispersion (t_m - t_0)} for m = 0 ... nt - 1, and m < 0 as the conjugates;
+    # the grid is periodic, so e^{-iH_c m dt} between nodes x and y is its inverse
+    # FFT at x - y mod n: O_m[j, l] gathered from one FFT per m
+    phase = phase.conj() * phase[0]
+    prop = np.fft.ifft(np.concatenate([phase[:0:-1].conj(), phase]))
+
+    def overlaps(mask, nodes):
+        return prop[:, (np.flatnonzero(nodes)[:, None] - np.flatnonzero(mask)) % n]
+
+    def projectors(e):
+        # the checked (1, d, d) stack and Q~ = V^dagger Q V
+        q = _system_projectors([e.q_proj], rho.space, n)
+        return q, v.conj().T @ q[0] @ v
+
+    mask = clock._window_mask(events[0].t0, events[0].delta)
+    r = int(np.count_nonzero(mask))
+    if rho.factor is None:
+        core = np.empty((nt, d, r, d, r), dtype=complex)
+        for sl, _, chunk in _window_cores(rho, clock, mask, t_grid, v):
+            core[sl] = chunk.transpose(0, 2, 1, 3, 4)
+        core *= (w[:, None] * u)[:, :, None, None, None] * u.conj()[:, None, None, :, None]
+    else:
+        k = rho.factor.shape[1]
+        dft = _window_dft(clock, mask) if _rows_by_matmul(n, r) else None
+        rows = np.empty((d, k * r, nt), dtype=complex)
+        for sl, _, x in _window_rows(rho.factor, clock, mask, t_grid, lift.conj(), None if h_system is None else v, dft):
+            rows[:, :, sl] = x
+        # L'_1(t)^T at axes (t, column, a, node)
+        factor = rows.conj().reshape(d, k, r, nt).transpose(3, 1, 0, 2)
+        for j, e in enumerate(events[:-2]):
+            # L'_j with rows a: K_j = x x^dagger, and Z_j
+            x = factor.transpose(2, 0, 1, 3).reshape(d, factor.size // d)
+            q, q_eig = projectors(e)
+            total *= float(_kernel_probabilities(x @ x.conj().T, v, q, e.t0)[0])
+            if total == 0.0:
+                return 0.0
+            z = (q_eig @ x).reshape(d, nt, -1, r) * u.conj().T[:, :, None, None]
+            norm = float(np.vdot(z, z).real)
+            if norm <= 1e-300:
+                raise ZeroProbabilityError("reduction has zero probability")
+            z /= math.sqrt(norm)
+            nodes = clock._window_mask(events[j + 1].t0, events[j + 1].delta)
+            factor = _carry(z, overlaps(mask, nodes), lift, j + 3 == len(events))
+            mask, r = nodes, int(np.count_nonzero(nodes))
+        # the last carry gave the cores of the next-to-last event; the first is a Gram product
+        core = factor
+        if len(events) == 2:
+            flat = factor.reshape(nt, k, d * r)
+            core = (flat.transpose(0, 2, 1) @ flat.conj()).reshape(nt, d, r, d, r)
+    # the last two factors from the scaled cores C'_{k-1}(s) at axes (s, a, node, b, node')
+    prev, last = events[-2:]
+    q, q_eig = projectors(prev)
+    total *= float(_kernel_probabilities(np.einsum("sakbk->ab", core), v, q, prev.t0)[0])
     if total == 0.0:
         return 0.0
-    # Q~(s) = u_s^* Q~ u_s: the phases u_s around the constant Q~ = V^dagger Q V, as
-    # one product from each side, at axes (a, s, k', k, b) for D(s)[(k, a), (k', b)]
-    q = v.conj().T @ q_prev[0] @ v
-    dq = core * u[:, None, :, None, None] * u.conj()[:, None, None, :, None]
-    dq = ((q @ dq.transpose(2, 0, 4, 1, 3).reshape(d, -1)).reshape(-1, d) @ q).reshape(d, nt, r, r, d)
-    norm = float(w @ np.einsum("askka->s", dq).real)
+    # D(s) at axes (a, s, k', k, b) for D(s)[(k, a), (k', b)]: Q~ from each side,
+    # then the outer phases u_s^* and u_s and 1/N
+    dq = ((q_eig @ core.transpose(1, 0, 4, 2, 3).reshape(d, -1)).reshape(-1, d) @ q_eig).reshape(d, nt, r, r, d)
+    norm = float(np.einsum("askka->", dq).real)
     if norm <= 1e-300:
         raise ZeroProbabilityError("reduction has zero probability")
     q_last = _system_projectors([last.q_proj], rho.space, n)
-    mask_last = clock._window_mask(last.t0, last.delta)
-    # the outer phases u_s^*, w_s and 1/N, then rows (k', k)
-    dq *= (u.conj().T / norm)[:, :, None, None, None] * (w[:, None] * u)[None, :, None, None, :]
-    dq = dq.transpose(2, 3, 1, 0, 4).reshape(r * r, nt * d * d)
-    # e^{-i dispersion (t_m - t_0)} for m = 0 ... nt - 1, and m < 0 as the conjugates
-    phase = phase.conj() * phase[0]
-    phase = np.concatenate([phase[:0:-1].conj(), phase])
-    # the grid is periodic, so e^{-iH_c tau} between nodes x and y is its inverse
-    # FFT at x - y mod n: O_m[j, l] gathered from one FFT per m
-    prop = np.fft.ifft(phase)
-    o = prop[:, (np.flatnonzero(mask_last)[:, None] - np.flatnonzero(mask)) % n]
+    o = overlaps(mask, clock._window_mask(last.t0, last.delta))
+    dq *= (u.conj().T / norm)[:, :, None, None, None] * u[None, :, None, None, :]
+    dq = dq.transpose(2, 3, 1, 0, 4).reshape(r * r, nt * d * d)  # rows (k', k)
     g = (o.conj().transpose(0, 2, 1) @ o).reshape(2 * nt - 1, r * r)
-    # M(t) = sum_s Y[t - s + nt - 1, s] for Y = G D, over s-chunks of Y
-    lag = np.arange(nt)[:, None] - np.arange(nt) + nt - 1
+    # M(t) = sum_s Y[t - s, s] for Y = G D, over s-chunks of D and their lags
     marginal = np.zeros((nt, d * d), dtype=complex)
     step = max(1, _CHUNK_ENTRIES // ((2 * nt - 1) * d * d))
-    for start in range(0, nt, step):
-        sl = slice(start, min(start + step, nt))
-        y = (g @ dq[:, start * d * d : sl.stop * d * d]).reshape(2 * nt - 1, -1, d * d)
-        marginal += y[lag[:, sl], np.arange(sl.stop - start)].sum(axis=1)
+    for s0 in range(0, nt, step):
+        s1 = min(s0 + step, nt)
+        y = g[nt - s1 : 2 * nt - 1 - s0] @ dq[:, s0 * d * d : s1 * d * d]
+        marginal += _lag_band(y.reshape(nt + s1 - s0 - 1, s1 - s0, d * d), nt, 0, 1).sum(axis=1)
     kernel = _phase_sum(marginal.reshape(nt, d, d), u, w)
     return total * float(_kernel_probabilities(kernel, v, q_last, last.t0)[0])
 
@@ -980,11 +1082,14 @@ def history_probability(
     """Chained probability of an ordered sequence of (projector, reading) events:
     each factor conditions on the state reduced by the preceding events.
 
-    Where the state before the last event would be dense (``_keeps_factor``
-    fails for the state before the next-to-last one) and the grid is
-    uniform, the last two factors come from the window cores of the state
-    before them (``_history_pair``), without that dense state."""
+    On a uniform grid (``_history_chain``) a Gram-factored rho carries the
+    whole chain from window to window by the clock overlaps, and a dense rho
+    takes its last two factors from the window cores of the state before
+    them; neither builds a reduced state between events.  Other grids
+    reduce the state before each factor but the first."""
     events = [_as_event(e) for e in events]
+    if not events:
+        raise ValueError("at least one history event is required")
     for e in events:
         if e.q_proj is None or e.t0 is None:
             raise ValueError("history events need both a projector and a clock reading")
@@ -994,10 +1099,10 @@ def history_probability(
     total = 1.0
     state = rho
     grid = clock._t_grid(t_grid)
+    chain = len(events) >= 2 and _uniform(grid)
     for i, e in enumerate(events):
-        if i + 2 == len(events) and not _keeps_factor(state, grid, 1) and _uniform(grid):
-            # sigma_{k-1} would be dense: both last factors come from this state's cores
-            return _history_pair(state, clock, e, events[-1], h_system, grid, total)
+        if chain and (i + 2 == len(events) or state.factor is not None):
+            return _history_chain(state, clock, events[i:], h_system, grid, total)
         # the factor conditions on the event's own window, as its reduction does
         p = float(_conditional_probabilities(state, [e.q_proj], clock, e.t0, h_system, t_grid, e.delta)[0])
         total *= p

@@ -343,6 +343,20 @@ class TestDetectEvent:
         assert payload["N_particles"] == 5
         assert payload["metadata"]["clock_ambiguity_width"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("count", [2.5, True, np.True_, float("nan")])
+    def test_a_non_integral_particle_count_is_rejected(self, ideal_clock, count):
+        # eps = exp(-alpha N) would use the count as given and the record its integer part
+        rho = ideal_clock.rho0.tensor(rc.DensityOperator.maximally_mixed((2,)))
+        with pytest.raises(ValueError, match="n_particles must be an integer"):
+            rc.detect_event(rho, z_family(), ideal_clock, 10 * ideal_clock.dx, n_particles=count, alpha=0.3)
+
+    @pytest.mark.parametrize("count", [3.0, np.int64(3)])
+    def test_an_integral_particle_count_is_recorded_as_given(self, ideal_clock, count):
+        rho = ideal_clock.rho0.tensor(rc.DensityOperator.maximally_mixed((2,)))
+        rec = rc.detect_event(rho, z_family(), ideal_clock, 10 * ideal_clock.dx, n_particles=count, alpha=0.3)
+        assert rec.n_particles == 3
+        assert rec.epsilon == pytest.approx(math.exp(-0.9), rel=1e-12)
+
 
 class TestFusedDetection:
     """``detect_event`` on a Gram-factored input builds neither conditioned state."""

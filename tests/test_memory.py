@@ -14,9 +14,11 @@ stack.  A conditioned state of the register system (a 6-spin register,
 d = 128) applies its system operator in that eigenbasis too, scaled by
 d-vectors of phases, so ``reduce_state`` and ``detect_event`` hold the factor
 Y of nt columns and chunk buffers, and no (nt, d, d) stack beside it.  A
-history chain whose state before its last event would be dense takes its
-last two factors from the window cores of the state before that one, with
-no (n d)^2 matrix.  The reading densities of several readings come from one
+history chain builds no reduced state between its events: a Gram-factored
+input carries each reduction to the next window as a factor of at most
+r d columns per time, up to the window cores of the next-to-last event, and
+a dense one takes its last two factors from the cores of the state before
+them, with no (n d)^2 matrix.  The reading densities of several readings come from one
 clock evolution walked over t-chunks.  No timing is asserted.  Each test also
 checks its result through an independent path, since at these sizes the
 kernel walks the time grid in several chunks.  The spin-register oracle walks
@@ -115,6 +117,27 @@ def test_three_event_history_peak(readme_case):
     rho = clock.rho0.tensor(rc.DensityOperator.from_matrix(PLUS, (2,)))
     up = np.diag([1.0, 0.0]).astype(complex)
     events = [(PLUS, 1.5), (up, 2.0), (PLUS, 2.6)]
+    p, peak = traced_peak_mb(lambda: rc.history_probability(rho, clock, events, h_system=h))
+    assert peak <= LIMIT_MB
+    # the chain through the conditioned states themselves
+    want, state = 1.0, rho
+    for i, (q, t0) in enumerate(events):
+        want *= rc.conditional_probability(state, q, clock, t0, h_system=h)
+        if i + 1 < len(events):
+            state = rc.reduce_state(state, clock, [(q, t0)], h_system=h)
+    assert p == pytest.approx(want, abs=1e-12)
+
+
+def test_four_event_history_on_a_1024_node_clock():
+    # the pure chain carries each reduction from window to window: a factor of at
+    # most r d columns per time and the cores of the next-to-last window, where
+    # each reduced state along the chain would be a factor of nt columns and then
+    # an (n d)^2 = 64 MiB matrix
+    clock = rc.build_free_particle_clock(1024, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+    h = rc.Observable.from_matrix(rc.SIGMA_Z)
+    rho = clock.rho0.tensor(rc.DensityOperator.from_vector(np.array([1.0, 1.0]) / np.sqrt(2.0), (2,)))
+    up = np.diag([1.0, 0.0]).astype(complex)
+    events = [(PLUS, 1.5), (up, 2.0), (PLUS, 2.6), (up, 3.1)]
     p, peak = traced_peak_mb(lambda: rc.history_probability(rho, clock, events, h_system=h))
     assert peak <= LIMIT_MB
     # the chain through the conditioned states themselves

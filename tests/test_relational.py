@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -790,6 +791,13 @@ class TestHistoryProbability:
         with pytest.raises(ValueError, match="ordered"):
             rc.history_probability(rho, ideal_clock, [(P_UP, 2.0), (P_UP, 1.0)], h_system=h_z)
 
+    @pytest.mark.parametrize("form", FORMS)
+    def test_an_empty_history_is_rejected(self, ideal_clock, form):
+        # as ``reduce_state`` rejects an empty event list, not a probability of 1
+        rho = product_state(ideal_clock, qubit_state(np.random.default_rng(17), form), form)
+        with pytest.raises(ValueError, match="at least one history event is required"):
+            rc.history_probability(rho, ideal_clock, [])
+
 
 def random_projector(rng, d: int, rank: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))
@@ -799,18 +807,25 @@ def random_projector(rng, d: int, rank: int) -> np.ndarray:
 def brute_history(rho, clock, events, h_sys, t_grid) -> float:
     """The chain of brute conditional probabilities, each on the brute
     reduction of the state by the events before it."""
+    return brute_history_prefixes(rho, clock, events, h_sys, t_grid)[-1]
+
+
+def brute_history_prefixes(rho, clock, events, h_sys, t_grid) -> list[float]:
+    """``brute_history`` of each leading part of ``events``, from one walk of
+    the chain: the value of the first i events at index i - 1."""
     h_c = clock.h_clock.matrix
 
     def window(e):
         half = clock.delta_c if e.delta is None else e.delta
         return np.diag(((clock.x >= e.t0 - half) & (clock.x <= e.t0 + half)).astype(complex))
 
-    total, state = 1.0, rho.matrix
+    totals, state = [], rho.matrix
     for i, e in enumerate(events):
-        total *= oracles.brute_conditional_probability(state, e.q_proj, window(e), h_c, h_sys, t_grid)
+        p = oracles.brute_conditional_probability(state, e.q_proj, window(e), h_c, h_sys, t_grid)
+        totals.append(p * (totals[-1] if totals else 1.0))
         if i + 1 < len(events):
             state = oracles.brute_reduce_state(state, [(e.q_proj, e.t0)], lambda _: window(e), h_c, h_sys, t_grid)
-    return total
+    return totals
 
 
 def reduce_then_condition(rho, clock, events, h, t_grid=None) -> float:
@@ -826,7 +841,8 @@ def reduce_then_condition(rho, clock, events, h, t_grid=None) -> float:
 
 class TestHistoryPair:
     """The last two factors of a chain from the cores of the state before
-    them, where the state between them would not keep its factor."""
+    them: on a uniform grid, a dense input's after ``reduce_state`` has
+    reduced it, and a factored input's after the window cores carried it."""
 
     @pytest.mark.parametrize("steps", [3, 4])
     @pytest.mark.parametrize("form", FORMS)
@@ -891,12 +907,13 @@ class TestHistoryPair:
         got = [rc.history_probability(pure, small_clock, events, h_system=h_x),
                rc.history_probability(dense, small_clock, events[:2], h_system=h_x)]
         assert got == pytest.approx(want, abs=1e-12)
-        monkeypatch.undo()
-        # a pure two-event chain keeps its reduced state as a factor, and on a grid
-        # that is not uniform the overlaps do not depend on t - s alone
-        monkeypatch.setattr(rc.relational, "_history_pair", refuse)
+        # on a uniform grid a factored chain reduces no state, however short
+        monkeypatch.setattr(rc.relational, "reduce_state", refuse)
         two = rc.history_probability(pure, small_clock, events[:2], h_system=h_x)
         assert two == pytest.approx(reduce_then_condition(pure, small_clock, chain[:2], h_x), abs=1e-12)
+        monkeypatch.undo()
+        # on a grid that is not uniform the overlaps do not depend on t - s alone
+        monkeypatch.setattr(rc.relational, "_history_chain", refuse)
         uneven = np.linspace(0.0, small_clock.tau, 13) ** 1.1 / small_clock.tau**0.1
         assert rc.relational._uniform(small_clock.default_t_grid()) and not rc.relational._uniform(uneven)
         three = rc.history_probability(pure, small_clock, events, h_system=h_x, t_grid=uneven)
@@ -919,6 +936,76 @@ class TestHistoryPair:
         for events in ([(0.5 * I2, 0.3), (P_UP, 0.7)], [(P_UP, 0.3), (0.5 * I2, 0.7)]):
             with pytest.raises(rc.ValidationError, match="supplied operator is not a projector"):
                 rc.history_probability(rho, small_clock, events)
+
+
+CHAIN_READINGS = (0.3, 0.55, 0.8, 1.05, 1.3)
+
+
+def chain_state(rng, clock, kind):
+    if kind == "rank-1":
+        return clock.rho0.tensor(rc.DensityOperator.from_vector(oracles.random_unitary(rng, 2)[:, 0], (2,)))
+    form = "dense" if kind == "dense" else "factored"
+    return product_state(clock, qubit_state(rng, form), form)
+
+
+@functools.lru_cache(maxsize=None)
+def chain_case(kind, with_h):
+    """The input, h, five events on the 40-node clock's 13-point grid (the
+    second on a wider window, so that the windows differ in size) and the
+    brute chain of each leading part of them, computed once for all chunk
+    sizes and chain lengths."""
+    clock = rc.build_free_particle_clock(40, mass=30.0, sigma0=0.5, delta_c=0.35, tau=1.5)
+    rng = np.random.default_rng(2401 + 2 * ("rank-1", "rank-2", "dense").index(kind) + with_h)
+    rho = chain_state(rng, clock, kind)
+    h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2)) if with_h else None
+    events = [rc.ReductionEvent(random_projector(rng, 2, 1), t0, 0.5 if i == 1 else None)
+              for i, t0 in enumerate(CHAIN_READINGS)]
+    t_grid = np.linspace(0.0, clock.tau, 13)
+    brute = brute_history_prefixes(rho, clock, events, np.zeros((2, 2)) if h is None else h.matrix, t_grid)
+    return clock, rho, h, events, t_grid, brute
+
+
+class TestHistoryChain:
+    """Whole chains carried from window to window on a uniform grid: each
+    factor against the brute chain and against the package's own conditioned
+    states, with chains long enough that the carried factor is compressed
+    (4 and 5 events), and with chunks small enough that the carry and the
+    marginal walk several of them."""
+
+    @pytest.mark.parametrize("chunk", [None, 300])
+    @pytest.mark.parametrize("with_h", [False, True])
+    @pytest.mark.parametrize("kind", ["rank-1", "rank-2", "dense"])
+    @pytest.mark.parametrize("steps", [2, 3, 4, 5])
+    def test_matches_the_brute_chain_and_reduce_then_condition(self, monkeypatch, steps, kind, with_h, chunk):
+        clock, rho, h, events, t_grid, brute = chain_case(kind, with_h)
+        if chunk is not None:
+            monkeypatch.setattr(rc.relational, "_CHUNK_ENTRIES", chunk)
+        got = rc.history_probability(rho, clock, events[:steps], h_system=h, t_grid=t_grid)
+        assert got == pytest.approx(brute[steps - 1], abs=1e-9)
+        assert got == pytest.approx(reduce_then_condition(rho, clock, events[:steps], h, t_grid), abs=1e-12)
+
+    @pytest.mark.parametrize("nt, first", [(13, 6), (5, 5)])
+    def test_a_factor_carried_again_keeps_at_most_its_rows(self, monkeypatch, small_clock, nt, first):
+        # three nodes a window and a qubit: a factor carried once more keeps at most
+        # 6 columns per time, nt of them from a pure input's first reduction
+        seen, carry_ = [], rc.relational._carry
+
+        def carry(z, o, lift, gram):
+            out = carry_(z, o, lift, gram)
+            seen.append((gram, out.shape))
+            return out
+
+        monkeypatch.setattr(rc.relational, "_carry", carry)
+        rng = np.random.default_rng(2471)
+        rho = chain_state(rng, small_clock, "rank-1")
+        events = [(random_projector(rng, 2, 1), t0) for t0 in CHAIN_READINGS]
+        t_grid = np.linspace(0.0, small_clock.tau, nt)
+        got = rc.history_probability(rho, small_clock, events, t_grid=t_grid)
+        assert seen == [(False, (nt, first, 2, 3)), (False, (nt, 6, 2, 3)), (True, (nt, 2, 3, 2, 3))]
+        chain = [rc.ReductionEvent(*e) for e in events]
+        assert got == pytest.approx(reduce_then_condition(rho, small_clock, chain, None, t_grid), abs=1e-12)
+        brute = brute_history(rho, small_clock, chain, np.zeros((2, 2)), t_grid)
+        assert got == pytest.approx(brute, abs=1e-9)
 
 
 class TestQuasiProjector:
