@@ -341,7 +341,7 @@ def _event_gap(
     t_grid: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """``distinguishability(rho_mod, rho_event)`` and the outcome probabilities
-    of a Gram-factored rho in one Heisenberg-frame pass of the window kernel.
+    of rho in one Heisenberg-frame pass of the window kernel over its Gram factor.
 
     Y is the factor of the window sandwich: ``rho_mod`` is Y Y^dagger / den,
     den = ||Y||_F^2.  A pair of members that commute with h takes the
@@ -387,8 +387,8 @@ def detect_event(
         raise ValueError("alpha must be positive")
     _check_family(rho, family, clock)
     t_grid = clock._t_grid(t_grid)
-    # the fused pass holds the factor Y of rho_mod: where rho_mod would not keep
-    # it, the dense states are the smaller objects
+    # the fused pass holds the factor Y of rho_mod, dense input or factored: where
+    # rho_mod would not keep it (a wide factor), the dense states are the smaller objects
     if _keeps_factor(rho, t_grid, 1):
         d, probs = _event_gap(rho, family, clock, t0, h_system, t_grid)
     else:

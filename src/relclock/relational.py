@@ -181,72 +181,6 @@ def _window_dft(clock: ClockModel, mask: np.ndarray) -> np.ndarray:
     return clock._roots[np.outer(np.flatnonzero(mask), np.arange(clock.n)) % clock.n]
 
 
-def _window_cores(
-    rho: DensityOperator,
-    clock: ClockModel,
-    mask: np.ndarray,
-    t_grid: np.ndarray,
-    basis: np.ndarray,
-):
-    """Yield ``(sl, e, core)`` for consecutive chunks ``t_grid[sl]`` of the time grid.
-
-    With E the isometry onto the r grid nodes in ``mask``, ``e[t]`` is the
-    transpose of e^{iH_c t} E (shape (c, r, n)) and factors the Heisenberg
-    window as W(t) = e[t]^T conj(e[t]); h_clock is diagonal in the Fourier
-    basis, so ``e`` is a batch of FFTs (phases from ``clock._phases``), each
-    along the last, contiguous axis.  core[t] = (e[t]^dagger (x) I) rho
-    (e[t] (x) I), with the entry [(k, a), (k', b)] at axes (k, a, b, k'):
-    (r d)^2 numbers per time where the Heisenberg-evolved full-space window
-    takes (n d)^2; its d x d marginal Tr_r core[t] is
-    ``np.einsum("tkabk->tab", core)``.
-
-    The unitary ``basis`` V on the system factor runs all of this on
-    (I (x) V^dagger) rho (I (x) V): the state is rotated once, not per time.
-
-    A dense rho takes one matmul with e[t] (x) I, at O(n^2 r d^2) per time, a
-    Gram factor F one with F for its window rows L(t) = (e[t]^dagger (x) I) F,
-    at O(n r d k), and core[t] = L(t) L(t)^dagger.
-    """
-    n = clock.n
-    d = rho.dim // n
-    r = int(np.count_nonzero(mask))
-    e0 = _window_dft(clock, mask)
-    f = rho.factor
-    if f is None:
-        a = (rho.matrix.reshape(n * d * n, d) @ basis).reshape(n, d, n * d)
-        a = basis.conj().T @ a
-        # rho[(i, a), (j, b)] with rows (i, a, b) and columns j
-        rho_j = a.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n * d * d, n)
-        per_time = n * d * d * r
-    else:
-        k = f.shape[1]
-        # F^T in the basis, rows (a, k) and the clock index last
-        f = (basis.conj().T @ f.reshape(n, d, k)).reshape(n, d * k).T
-        per_time = (n + d * k + r * d * d) * r
-    step = max(1, _CHUNK_ENTRIES // max(1, per_time))
-    for start in range(0, t_grid.size, step):
-        sl = slice(start, min(start + step, t_grid.size))
-        phase = clock._phases(t_grid, sl)
-        c = phase.shape[0]
-        e = np.fft.ifft(phase[:, None, :] * e0)
-        if f is not None:
-            left = f @ e.conj().transpose(0, 2, 1)  # L(t) = F^T conj(e[t])^T, rows (a, k)
-            flat = left.reshape(c, d, k, r).transpose(0, 3, 1, 2).reshape(c, r * d, k)
-            core = flat @ flat.conj().transpose(0, 2, 1)
-            yield sl, e, core.reshape(c, r, d, r, d).transpose(0, 1, 2, 4, 3)
-            continue
-        y = rho_j @ e.transpose(2, 0, 1).reshape(n, c * r)
-        y = y.reshape(n, d * d, c, r).transpose(2, 0, 1, 3).reshape(c, n, d * d * r)
-        yield sl, e, (e.conj() @ y).reshape(c, r, d, d, r)
-
-
-def _phase_sum(m: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_t w_t u_t m[t] u_t^* for the d-vectors u_t = e^{-i lambda t}, in place on m."""
-    m *= u.conj()[:, None, :]
-    m *= (w[:, None] * u)[:, :, None]
-    return m.sum(axis=0)
-
-
 def _uniform(t_grid: np.ndarray) -> bool:
     """Whether ``t_grid`` is t_0 + m dt to a few units in the last place, as
     ``np.linspace`` and the clocks' default grids are.  A grid that is not
@@ -317,9 +251,8 @@ def _history_chain(
     events: Sequence[ReductionEvent],
     h_system: Observable | None,
     t_grid: np.ndarray,
-    total: float,
 ) -> float:
-    """``total`` times the factors of a history chain of two or more events
+    """The product of the factors of a history chain of two or more events
     on a uniform time grid, each conditioned on the state that the events
     before it reduce rho to, without building any of those states.
 
@@ -340,10 +273,10 @@ def _history_chain(
 
         C_{j+1}(t) = sum_s (O_{t-s} (x) I) D_j(s) (O_{t-s} (x) I)^dagger.
 
-    A dense rho (two events) takes its cores from ``_window_cores``.  A Gram
-    factor F carries each reduction as a factor per time instead: the first
-    window's scaled rows L'_1(t), with C'_1 = L'_1 L'_1^dagger, come from
-    ``_window_rows``; D_j(s) = Z_j(s) Z_j(s)^dagger with
+    rho enters as its Gram factor F, and each reduction is carried as a
+    factor per time: the first window's scaled rows L'_1(t), with
+    C'_1 = L'_1 L'_1^dagger, come from ``_window_rows``;
+    D_j(s) = Z_j(s) Z_j(s)^dagger with
     Z_j(s) = (I (x) u_s^* Q~_j) L'_j(s) / sqrt(N_j); and ``_carry`` gives
 
         L'_{j+1}(t) = sqrt(w_t) (I (x) u_t) [(O_{t-s} (x) I) Z_j(s)]_s,
@@ -381,39 +314,35 @@ def _history_chain(
 
     mask = clock._window_mask(events[0].t0, events[0].delta)
     r = int(np.count_nonzero(mask))
-    if rho.factor is None:
-        core = np.empty((nt, d, r, d, r), dtype=complex)
-        for sl, _, chunk in _window_cores(rho, clock, mask, t_grid, v):
-            core[sl] = chunk.transpose(0, 2, 1, 3, 4)
-        core *= (w[:, None] * u)[:, :, None, None, None] * u.conj()[:, None, None, :, None]
-    else:
-        k = rho.factor.shape[1]
-        dft = _window_dft(clock, mask) if _rows_by_matmul(n, r) else None
-        rows = np.empty((d, k * r, nt), dtype=complex)
-        for sl, _, x in _window_rows(rho.factor, clock, mask, t_grid, lift.conj(), None if h_system is None else v, dft):
-            rows[:, :, sl] = x
-        # L'_1(t)^T at axes (t, column, a, node)
-        factor = rows.conj().reshape(d, k, r, nt).transpose(3, 1, 0, 2)
-        for j, e in enumerate(events[:-2]):
-            # L'_j with rows a: K_j = x x^dagger, and Z_j
-            x = factor.transpose(2, 0, 1, 3).reshape(d, factor.size // d)
-            q, q_eig = projectors(e)
-            total *= float(_kernel_probabilities(x @ x.conj().T, v, q, e.t0)[0])
-            if total == 0.0:
-                return 0.0
-            z = (q_eig @ x).reshape(d, nt, -1, r) * u.conj().T[:, :, None, None]
-            norm = float(np.vdot(z, z).real)
-            if norm <= 1e-300:
-                raise ZeroProbabilityError("reduction has zero probability")
-            z /= math.sqrt(norm)
-            nodes = clock._window_mask(events[j + 1].t0, events[j + 1].delta)
-            factor = _carry(z, overlaps(mask, nodes), lift, j + 3 == len(events))
-            mask, r = nodes, int(np.count_nonzero(nodes))
-        # the last carry gave the cores of the next-to-last event; the first is a Gram product
-        core = factor
-        if len(events) == 2:
-            flat = factor.reshape(nt, k, d * r)
-            core = (flat.transpose(0, 2, 1) @ flat.conj()).reshape(nt, d, r, d, r)
+    f = rho._gram_factor()
+    k = f.shape[1]
+    dft = _window_dft(clock, mask) if _rows_by_matmul(n, r) else None
+    rows = np.empty((d, k * r, nt), dtype=complex)
+    for sl, _, x in _window_rows(f, clock, mask, t_grid, lift.conj(), None if h_system is None else v, dft):
+        rows[:, :, sl] = x
+    # L'_1(t)^T at axes (t, column, a, node)
+    factor = rows.conj().reshape(d, k, r, nt).transpose(3, 1, 0, 2)
+    total = 1.0
+    for j, e in enumerate(events[:-2]):
+        # L'_j with rows a: K_j = x x^dagger, and Z_j
+        x = factor.transpose(2, 0, 1, 3).reshape(d, factor.size // d)
+        q, q_eig = projectors(e)
+        total *= float(_kernel_probabilities(x @ x.conj().T, v, q, e.t0)[0])
+        if total == 0.0:
+            return 0.0
+        z = (q_eig @ x).reshape(d, nt, -1, r) * u.conj().T[:, :, None, None]
+        norm = float(np.vdot(z, z).real)
+        if norm <= 1e-300:
+            raise ZeroProbabilityError("reduction has zero probability")
+        z /= math.sqrt(norm)
+        nodes = clock._window_mask(events[j + 1].t0, events[j + 1].delta)
+        factor = _carry(z, overlaps(mask, nodes), lift, j + 3 == len(events))
+        mask, r = nodes, int(np.count_nonzero(nodes))
+    # the last carry gave the cores of the next-to-last event; the first is a Gram product
+    core = factor
+    if len(events) == 2:
+        flat = factor.reshape(nt, k, d * r)
+        core = (flat.transpose(0, 2, 1) @ flat.conj()).reshape(nt, d, r, d, r)
     # the last two factors from the scaled cores C'_{k-1}(s) at axes (s, a, node, b, node')
     prev, last = events[-2:]
     q, q_eig = projectors(prev)
@@ -438,7 +367,8 @@ def _history_chain(
         s1 = min(s0 + step, nt)
         y = g[nt - s1 : 2 * nt - 1 - s0] @ dq[:, s0 * d * d : s1 * d * d]
         marginal += _lag_band(y.reshape(nt + s1 - s0 - 1, s1 - s0, d * d), nt, 0, 1).sum(axis=1)
-    kernel = _phase_sum(marginal.reshape(nt, d, d), u, w)
+    # the kernel sum_t w_t u_t M(t) u_t^*
+    kernel = (marginal.reshape(nt, d, d) * u.conj()[:, None, :] * (w[:, None] * u)[:, :, None]).sum(axis=0)
     return total * float(_kernel_probabilities(kernel, v, q_last, last.t0)[0])
 
 
@@ -474,8 +404,10 @@ def _window_rows(
     (n d, k)) and its row a scaled by ``scale[t, a]``^*; a unitary ``basis`` V
     runs this on (I (x) V^dagger) F.  With f = conj(fft(F^T)) / n along the
     clock index, X(t) is the window entries of fft(P_t (.) f): given the
-    window's DFT rows ``dft`` (where ``_rows_by_matmul`` says so), one matmul
-    per column of F of its (r, n) table f (.) dft with the chunk's P^T,
+    window's DFT rows ``dft`` (where ``_rows_by_matmul`` says so), one
+    matmul per column of F of its (r, n) table f (.) dft with the chunk's
+    P^T, or, where that (d k, r, n) table would hold more entries than rho's
+    (n d)^2 matrix, one matmul of P_t (.) f with the DFT rows per chunk;
     otherwise an FFT of each column per time.  ``extra`` counts the caller's
     entries per time in the chunk budget ``_CHUNK_ENTRIES``."""
     n = clock.n
@@ -487,24 +419,27 @@ def _window_rows(
     if basis is not None:
         f_t = (basis.conj().T @ f_t.reshape(d, k * n)).reshape(d * k, n)
     f_bar = np.fft.ifft(f_t.conj())
-    if dft is not None:
-        # (d k, r, n): the conjugated window DFT columns of each column of F
+    # the matmul's (d k, r, n) table is built whole, not per t-chunk: where it
+    # would outgrow the state's dense matrix (450 MiB for a full-rank factor at
+    # n = 512) each chunk multiplies its own phases into f before the matmul
+    table = dft is not None and k * r <= n * d
+    if table:
         g = f_bar[:, None, :] * dft
-    per_time = n + (d * k * r if dft is not None else d * k * n) + extra
+    per_time = n + (d * k * r if table else d * k * n) + extra
     step = max(1, _CHUNK_ENTRIES // per_time)
     for start in range(0, t_grid.size, step):
         sl = slice(start, min(start + step, t_grid.size))
         phase = clock._phases(t_grid, sl)
         c = phase.shape[0]
-        if dft is not None:
+        if table:
             # one (r, n) x (n, c) product per column of F: OpenBLAS ran a product
             # of 2^16 or more multiply-adds on two threads, and on a two-core host
             # with the other core busy such a call (20 x 128 x 49) took 16 ms
             # against 44 us when split, while these stay below it up to n = 128
             x = (g @ phase.T).reshape(d, k * r, c)
         else:
-            x = np.fft.fft(phase[:, None, :] * f_bar)[:, :, mask]
-            x = x.reshape(c, d, k * r).transpose(1, 2, 0)
+            y = phase[:, None, :] * f_bar
+            x = (y @ dft.T if dft is not None else np.fft.fft(y)[:, :, mask]).reshape(c, d, k * r).transpose(1, 2, 0)
         x *= scale[sl].T[:, None, :]
         yield sl, phase, x
 
@@ -518,7 +453,7 @@ def _window_factor(
     t_grid: np.ndarray,
     frame: float = 0.0,
 ) -> np.ndarray:
-    """The factor Y of the window sandwich of a Gram-factored rho = F F^dagger:
+    """The factor Y of the window sandwich of rho = F F^dagger, F its Gram factor:
     its columns sqrt(w_t) U (W(t) (x) S(t)) F, ordered (t, S, k), give the
     sandwich as Y Y^dagger.  W(t) is the identity for ``mask`` None, and
     U = e^{-i(H_c + h) T0} labels the state by the reading T0 = ``frame``
@@ -534,7 +469,8 @@ def _window_factor(
     route, else by an FFT of E Z."""
     n = clock.n
     d = rho.dim // n
-    nt, m, k = t_grid.size, len(sys_ops), rho.factor.shape[1]
+    f = rho._gram_factor()
+    nt, m, k = t_grid.size, len(sys_ops), f.shape[1]
     v, lam = _eigenbasis(h_system, d)
     # u_t = e^{i lambda t}, u_{t-T0} and e^{-i dispersion T0}, taken before any
     # BLAS call (see ``_conditional_probabilities``)
@@ -547,7 +483,7 @@ def _window_factor(
     r = int(np.count_nonzero(mask))
     dft = _window_dft(clock, mask) if _rows_by_matmul(n, r) else None
     y = np.empty((n, d, nt, m, k), dtype=complex)
-    for sl, phase, x in _window_rows(rho.factor, clock, mask, t_grid, scale, basis, dft, 2 * m * d * k * n):
+    for sl, phase, x in _window_rows(f, clock, mask, t_grid, scale, basis, dft, 2 * m * d * k * n):
         c = phase.shape[0]
         # V u_{t-T0} S~ L(t) with L(t) = conj(x): (d, d) x (d, k r c) products per S
         z = (s @ x.conj().reshape(d, k * r * c)).reshape(m, d, k * r, c)
@@ -579,11 +515,15 @@ def _window_sandwich(
     W(t) the Heisenberg window on the grid nodes in ``mask`` (the identity for
     None), S(t) the Heisenberg-evolved system operators and U the frame of the
     reading ``frame`` as in ``_window_factor``, built without any full-space
-    stack: each time contributes (e(t) (x) I) G(t) (e(t) (x) I)^dagger with
-    G(t) the system channel on the (r d)^2 core in h's eigenbasis V, there
-    diag(p_t) C diag(p_t)^*, C = sum_S S~ (x) conj(S~), p_t = u_t (x) conj(u_t).
-    U rotates back from that basis with V diag(e^{-i lambda T0}) in place of V,
-    and e^{-iH_c T0} is one FFT pair on each clock index."""
+    stack, for a Gram factor F too wide for ``_window_factor``: each time
+    contributes (e(t)^T (x) I) G(t) (e(t)^T (x) I)^dagger, with e(t)^T the
+    (n, r) matrix e^{iH_c t} E from the chunk's phase rows and G(t) the
+    system channel on the (r d)^2 core L(t) L(t)^dagger of ``_window_rows``.
+    In h's eigenbasis V, with L(t) scaled by sqrt(w_t) u_t^*, that channel is
+    diag(p_t) C with C = sum_S S~ (x) conj(S~) and p_t = u_t (x) conj(u_t).
+    U rotates back from that basis with V diag(e^{-i lambda T0}) in place of
+    V, and e^{-iH_c T0} is one FFT pair on each clock index.  Without a
+    window only the system channel acts, on the blocks of rho's matrix."""
     n = clock.n
     d = rho.dim // n
     v, lam = _eigenbasis(h_system, d)
@@ -599,12 +539,21 @@ def _window_sandwich(
         blocks = rho.matrix.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
         out = (chan @ blocks).reshape(d, d, n, n).transpose(2, 0, 3, 1)
     else:
-        chan = (w[:, None] * p)[:, :, None] * chan * p.conj()[:, None, :]
+        f = rho._gram_factor()
+        k, r = f.shape[1], int(np.count_nonzero(mask))
+        e0 = _window_dft(clock, mask)
+        dft = e0 if _rows_by_matmul(n, r) else None
+        scale = u * np.sqrt(w)[:, None]
         acc = np.zeros((n, d * d * n), dtype=complex)
-        for sl, e, core in _window_cores(rho, clock, mask, t_grid, v):
-            c, r = e.shape[:2]
-            g = chan[sl] @ core.transpose(0, 2, 3, 1, 4).reshape(c, d * d, r * r)
-            # rows (k, a, b), columns k', times conj(e) on the right, then e^T over (t, k)
+        per_time = r * n * (1 + d * d) + 2 * (r * d) ** 2 + d**4
+        for sl, phase, x in _window_rows(f, clock, mask, t_grid, scale, None if h_system is None else v, dft, per_time):
+            c = phase.shape[0]
+            e = np.fft.ifft(phase[:, None, :] * e0)
+            # the scaled L(t) = conj(x) with rows (a, node): its cores at axes (t, a, b, node, node')
+            x = x.reshape(d, k, r, c).transpose(3, 0, 2, 1).reshape(c, d * r, k)
+            core = (x.conj() @ x.transpose(0, 2, 1)).reshape(c, d, r, d, r).transpose(0, 1, 3, 2, 4)
+            g = (p[sl, :, None] * chan) @ core.reshape(c, d * d, r * r)
+            # rows (node, a, b), columns node', times conj(e) on the right, then e^T over (t, node)
             g = g.reshape(c, d * d, r, r).transpose(0, 2, 1, 3).reshape(c, r * d * d, r) @ e.conj()
             acc += e.reshape(c * r, n).T @ g.reshape(c * r, d * d * n)
         # back from h's eigenbasis: (I (x) V) out (I (x) V^dagger)
@@ -624,9 +573,9 @@ def _window_sandwich(
 
 def _keeps_factor(rho: DensityOperator, t_grid: np.ndarray, n_ops: int) -> bool:
     """Whether the window sandwich of rho over ``n_ops`` system operators is
-    kept as its factor Y: rho is Gram-factored and Y, of nt |S| k columns, has
-    no more columns than rows."""
-    return rho.factor is not None and t_grid.size * n_ops * rho.factor.shape[1] <= rho.dim
+    kept as its factor Y: Y, of nt |S| k columns for the k columns of rho's
+    Gram factor, has no more columns than rows."""
+    return t_grid.size * n_ops * rho._gram_factor().shape[1] <= rho.dim
 
 
 def _sandwich_state(
@@ -640,10 +589,11 @@ def _sandwich_state(
     frame: float = 0.0,
 ) -> DensityOperator:
     """The window sandwich normalized to unit trace, in the frame of the
-    reading ``frame`` (0 for the Heisenberg picture).  A Gram-factored rho
-    whose factor Y (``_window_factor``) has no more columns than rows gives
-    the factored state Y / ||Y||_F; any other rho gives the dense
-    num / tr num of ``_window_sandwich``.  A vanishing trace raises ``zero``."""
+    reading ``frame`` (0 for the Heisenberg picture).  Where the factor Y
+    (``_window_factor``) has no more columns than rows (``_keeps_factor``)
+    the state is Y / ||Y||_F, whether rho is dense or factored; otherwise it
+    is the dense num / tr num of ``_window_sandwich``.  A vanishing trace
+    raises ``zero``."""
     factored = _keeps_factor(rho, t_grid, len(sys_ops))
     if factored:
         out = _window_factor(rho, clock, mask, sys_ops, h_system, t_grid, frame)
@@ -680,10 +630,10 @@ def conditional_probabilities(
         K = sum_t w_t u_t M~(t) u_t^*,   M~(t) = V^dagger M(t) V,
 
     built from the state rotated once into that basis, and
-    p = Tr(Q~ K) / Tr K.  Without h, V = I and lambda = 0.  For a Gram
-    factor F, M~(t) = L(t) L(t)^dagger with L(t) the window rows of the
-    clock-evolved (I (x) V^dagger) F, and K is one Gram product of those
-    rows scaled by sqrt(w_t) u_t (``_window_rows``).
+    p = Tr(Q~ K) / Tr K.  Without h, V = I and lambda = 0.  With F the
+    state's Gram factor, M~(t) = L(t) L(t)^dagger with L(t) the window rows
+    of the clock-evolved (I (x) V^dagger) F, and K is one Gram product of
+    those rows scaled by sqrt(w_t) u_t (``_window_rows``).
     """
     return _conditional_probabilities(rho, projectors, clock, t0, h_system, t_grid)
 
@@ -706,22 +656,16 @@ def _conditional_probabilities(
     v, lam = _eigenbasis(h_system, d_sys)
     mask = clock._window_mask(t0, half_width)
 
+    # sqrt(w_t) u_t^*, taken before any BLAS call: a complex exp issued
+    # right after one ran several times slower (OpenBLAS 0.3.31, x86-64)
+    scale = np.exp(1j * np.outer(t_grid, lam)) * np.sqrt(w)[:, None]
+    dft = _window_dft(clock, mask) if _rows_by_matmul(n_cl, int(np.count_nonzero(mask))) else None
     kernel = np.zeros((d_sys, d_sys), dtype=complex)
-    if rho.factor is None:
-        for sl, _, core in _window_cores(rho, clock, mask, t_grid, v):
-            # u_t as a d-vector: d exponentials per time, not d^2
-            kernel += _phase_sum(np.einsum("tkabk->tab", core), np.exp(-1j * np.outer(t_grid[sl], lam)), w[sl])
-    else:
-        # sqrt(w_t) u_t^*, taken before any BLAS call: a complex exp issued
-        # right after one ran several times slower (OpenBLAS 0.3.31, x86-64)
-        scale = np.exp(1j * np.outer(t_grid, lam)) * np.sqrt(w)[:, None]
-        dft = _window_dft(clock, mask) if _rows_by_matmul(n_cl, int(np.count_nonzero(mask))) else None
-        rows = _window_rows(rho.factor, clock, mask, t_grid, scale, None if h_system is None else v, dft)
-        for _, _, x in rows:  # K = conj(sum_t X(t) X(t)^dagger), one d x d Gram product per t-chunk
-            x = x.reshape(d_sys, x.shape[1] * x.shape[2])
-            kernel += x @ x.conj().T
-        kernel = kernel.conj()
-    return _kernel_probabilities(kernel, v, sys_projs, t0)
+    rows = _window_rows(rho._gram_factor(), clock, mask, t_grid, scale, None if h_system is None else v, dft)
+    for _, _, x in rows:  # K = conj(sum_t X(t) X(t)^dagger), one d x d Gram product per t-chunk
+        x = x.reshape(d_sys, x.shape[1] * x.shape[2])
+        kernel += x @ x.conj().T
+    return _kernel_probabilities(kernel.conj(), v, sys_projs, t0)
 
 
 def _kernel_probabilities(kernel: np.ndarray, v: np.ndarray, sys_projs: np.ndarray, t0: float) -> np.ndarray:
@@ -895,9 +839,14 @@ class EmpiricalSpreadRate:
 
     def __post_init__(self):
         t = np.asarray(self.t_values, dtype=float)
+        b = np.asarray(self.b_values, dtype=float)
+        if t.ndim != 1 or t.shape != b.shape or not t.size:
+            raise ValueError(
+                f"t_values and b_values must be non-empty 1-d arrays of equal length, got shapes {t.shape} and {b.shape}"
+            )
         order = np.argsort(t)
         object.__setattr__(self, "t_values", _freeze(t[order], None))
-        object.__setattr__(self, "b_values", _freeze(np.asarray(self.b_values, dtype=float)[order], None))
+        object.__setattr__(self, "b_values", _freeze(b[order], None))
 
     @classmethod
     def from_densities(cls, densities: Sequence[ClockDensity]) -> "EmpiricalSpreadRate":
@@ -924,8 +873,8 @@ class EvolutionSetup:
     def __post_init__(self):
         if self.sign_convention not in (1, -1):
             raise ValueError("sign_convention must be +1 or -1")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
     @property
     def omega_max(self) -> float:
@@ -972,8 +921,8 @@ def master_evolve(
     A state that leaves the positive cone (anti-dephasing) raises
     ``MasterIntegrationError``.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be at least 1, got {record_stride}")
     if rho0.dim != setup.h_system.dim:
@@ -1082,11 +1031,10 @@ def history_probability(
     """Chained probability of an ordered sequence of (projector, reading) events:
     each factor conditions on the state reduced by the preceding events.
 
-    On a uniform grid (``_history_chain``) a Gram-factored rho carries the
-    whole chain from window to window by the clock overlaps, and a dense rho
-    takes its last two factors from the window cores of the state before
-    them; neither builds a reduced state between events.  Other grids
-    reduce the state before each factor but the first."""
+    On a uniform grid a chain of two or more events (``_history_chain``)
+    carries rho's Gram factor from window to window by the clock overlaps,
+    and builds no reduced state between events.  Other grids reduce the
+    state before each factor but the first."""
     events = [_as_event(e) for e in events]
     if not events:
         raise ValueError("at least one history event is required")
@@ -1096,13 +1044,12 @@ def history_probability(
     readings = [e.t0 for e in events]
     if any(b < a for a, b in zip(readings, readings[1:])):
         raise ValueError(f"history readings must be ordered in T, got {readings}")
+    grid = clock._t_grid(t_grid)
+    if len(events) >= 2 and _uniform(grid):
+        return _history_chain(rho, clock, events, h_system, grid)
     total = 1.0
     state = rho
-    grid = clock._t_grid(t_grid)
-    chain = len(events) >= 2 and _uniform(grid)
     for i, e in enumerate(events):
-        if chain and (i + 2 == len(events) or state.factor is not None):
-            return _history_chain(state, clock, events[i:], h_system, grid, total)
         # the factor conditions on the event's own window, as its reduction does
         p = float(_conditional_probabilities(state, [e.q_proj], clock, e.t0, h_system, t_grid, e.delta)[0])
         total *= p

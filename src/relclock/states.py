@@ -170,6 +170,7 @@ def _density_states(stack: np.ndarray, space: HilbertSpace) -> list["DensityOper
         object.__setattr__(rho, "_matrix", matrix)
         object.__setattr__(rho, "space", space)
         object.__setattr__(rho, "factor", None)
+        object.__setattr__(rho, "_gram", None)
         states.append(rho)
     return states
 
@@ -179,15 +180,17 @@ class DensityOperator:
 
     A state is held either as its checked matrix or as a Gram factor F of
     shape (N, k) with rho = F F^dagger.  ``from_vector`` keeps F = v (k = 1),
-    and ``tensor`` keeps kron(G1, G2) of its operands' factors, where a dense
-    operand's factor comes from one eigh of its matrix.  The matrix of a
-    factored state is built on every access and not kept, so holding one
-    costs its factor only; the window kernel of ``relational``, ``purity``,
-    ``expectation`` and ``partial_trace`` work on the factor.  Instances are
-    immutable.
+    and ``tensor`` keeps kron(G1, G2) of its operands' factors.  The matrix
+    of a factored state is built on every access and not kept, so holding
+    one costs its factor only; ``purity``, ``expectation`` and
+    ``partial_trace`` work on the factor.  The window kernels of
+    ``relational`` and ``events`` read every state through
+    ``_gram_factor``: a dense state's factor comes from one eigh of its
+    matrix, taken on first use and kept, while ``factor`` stays None.
+    Instances are immutable.
     """
 
-    __slots__ = ("space", "factor", "_matrix")
+    __slots__ = ("space", "factor", "_matrix", "_gram")
 
     def __init__(
         self, matrix: np.ndarray | None, space: HilbertSpace, factor: np.ndarray | None = None
@@ -195,6 +198,7 @@ class DensityOperator:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_gram", None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -248,15 +252,20 @@ class DensityOperator:
 
     def _gram_factor(self) -> np.ndarray:
         """F itself, or V sqrt(lambda) over the eigenpairs of one eigh of the
-        checked matrix with lambda > d eps lambda_max.  The dropped eigenvalues
-        lie within eigh's own rounding of zero (the checker let through
-        lambda >= -TOL_PSD only), so dropping them moves the state by at most
-        max(TOL_PSD, d eps) in operator norm, and a pure state keeps one column."""
+        checked matrix with lambda > d eps lambda_max, computed once and kept
+        read-only.  The dropped eigenvalues lie within eigh's own rounding of
+        zero (the checker let through lambda >= -TOL_PSD only), so dropping
+        them moves the state by at most max(TOL_PSD, d eps) in operator norm,
+        and a pure state keeps one column."""
         if self.factor is not None:
             return self.factor
-        w, v = np.linalg.eigh(self._matrix)
-        keep = w > w.size * np.finfo(float).eps * w[-1]
-        return v[:, keep] * np.sqrt(w[keep])
+        if self._gram is None:
+            w, v = np.linalg.eigh(self._matrix)
+            keep = w > w.size * np.finfo(float).eps * w[-1]
+            g = v[:, keep] * np.sqrt(w[keep])
+            g.flags.writeable = False
+            object.__setattr__(self, "_gram", g)
+        return self._gram
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, dims: Sequence[int] | HilbertSpace) -> "DensityOperator":

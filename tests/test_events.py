@@ -10,7 +10,7 @@ from relclock import fixtures
 from relclock.events import pinch
 
 import oracles
-from inputs import FORMS, entangled_state, product_state, qubit_state
+from inputs import FORMS, entangled_state, product_state, qubit_state, widen
 
 I2 = np.eye(2, dtype=complex)
 P_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -145,11 +145,11 @@ class TestReadingFrame:
 
     @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
     @pytest.mark.parametrize("with_h", [True, False])
-    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("form", FORMS + ("wide",))
     @pytest.mark.parametrize("clock_name", ["small_clock", "ideal_clock"])
     def test_matches_the_rotated_brute_force_sandwich(self, request, clock_name, form, with_h, conditioned):
-        # 17 times keep Y at 17 |S| k <= 68 columns of 80 or 96 rows, so the
-        # factored form takes the factor kernel and the dense one the dense sandwich
+        # 17 times keep Y at 17 |S| k <= 68 columns of 80 or 96 rows for k = 2, so
+        # the dense and factored forms keep a factor; the wide form takes the dense sandwich
         rng = np.random.default_rng(2600)
         clock = request.getfixturevalue(clock_name)
         t0 = 0.8 if clock_name == "small_clock" else 14 * clock.dx
@@ -168,7 +168,8 @@ class TestReadingFrame:
             heisenberg = oracles.brute_rho_event(
                 rho.matrix, family.projectors, clock.window_projector(t0), clock.h_clock.matrix, h_sys, t_grid
             )
-        assert (got.factor is not None) is (form == "factored")
+        keeps = rc.relational._keeps_factor(rho, t_grid, 1 if conditioned == "rho_mod" else len(family))
+        assert (got.factor is not None) is keeps is (form != "wide")
         u0 = expm(-1j * t0 * (np.kron(clock.h_clock.matrix, I2) + np.kron(np.eye(clock.n), h_sys)))
         np.testing.assert_allclose(got.matrix, u0 @ heisenberg @ u0.conj().T, atol=1e-9)
 
@@ -183,8 +184,8 @@ class TestReadingFrame:
 
     @pytest.mark.parametrize("conditioned", ["rho_mod", "rho_event"])
     def test_dense_output_is_checked_once_and_c_ordered(self, free_clock, h_z, monkeypatch, conditioned):
-        # a dense input keeps dense conditioned states, which leave the window kernel in their frame
-        rho = product_state(free_clock, qubit_state(np.random.default_rng(2700)), "dense")
+        # a wide factor gives dense conditioned states, which leave the window kernel in their frame
+        rho = product_state(free_clock, qubit_state(np.random.default_rng(2700)), "wide")
         extra = (z_family(),) if conditioned == "rho_event" else ()
         checked = []
         check = rc.states._check_density_stack
@@ -229,6 +230,18 @@ class TestFactoredInput:
         for name, call in calls.items():
             err = np.max(np.abs(np.asarray(call(factored)) - np.asarray(call(dense))))
             assert err <= 1e-12, name
+
+    def test_a_dense_input_is_factored_once(self, free_clock, h_z, monkeypatch):
+        # every kernel reads the state through its Gram factor, kept after one eigh of the (n d)^2 matrix
+        rho = product_state(free_clock, qubit_state(np.random.default_rng(2800)), "dense")
+        sizes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: sizes.append(np.shape(m)[-1]) or eigh(m, *args, **kw))
+        plus = 0.5 * np.ones((2, 2), dtype=complex)
+        rc.conditional_probability(rho, plus, free_clock, 1.5, h_z)
+        rc.rho_mod(rho, free_clock, 1.5, h_z)
+        rc.detect_event(rho, z_family(), free_clock, 1.5, 10, 0.3, h_z)
+        rc.history_probability(rho, free_clock, [(P_UP, 1.5), (plus, 2.0)], h_z)
+        assert sizes.count(rho.dim) == 1 and rho.factor is None
 
 
 class TestDistinguishability:
@@ -495,15 +508,16 @@ class TestConservedDetection:
 
 
 class TestDenseDetection:
-    """``detect_event`` on a dense input compares the two conditioned states."""
+    """``detect_event`` on a wide factor, whose conditioned states are dense,
+    compares the two conditioned states."""
 
     def test_matches_the_fused_path_and_the_schrodinger_frame(self, monkeypatch):
         clock = rc.build_ideal_clock(32, tau=4.0)
         twin = clock.rho0.tensor(rc.reduced_system_state(rc.make_incommensurate_model(10), 7.7))
-        rho = rc.DensityOperator.from_matrix(twin.matrix, twin.space)
+        rho = widen(twin)
         family = fixtures.pointer_family_z()
         fused = rc.detect_event(twin, family, clock, 2.0, n_particles=10, alpha=0.3)
-        # the dense input takes the window sandwich, not the fused pass, and
+        # the wide input takes the window sandwich, not the fused pass, and
         # asks for both conditioned states in the Heisenberg frame
         frames = []
         sandwich = rc.events._sandwich_state
@@ -538,17 +552,20 @@ class TestEnergyBasisPhases:
         projectors = tuple(u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(cuts, cuts[1:]))
         return rc.ProjectorFamily(labels=tuple(range(members)), projectors=projectors)
 
-    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("form", FORMS + ("wide",))
     @pytest.mark.parametrize("k", [1, 2])
     def test_rho_event_and_detection_match_brute_force(self, small_clock, k, form):
         # d = 4 on 40 nodes with 17 times: Y keeps 17 |S| k <= 160 columns, and
         # a random h commutes with no member, so the fused detection pinches the
-        # family; the dense form of the same state takes the dense sandwich
+        # family; the wide form of the same state takes the dense sandwich and
+        # compares the two conditioned states
         rng = np.random.default_rng(3100 + k)
         clock = small_clock
         rho = self.factor_state(rng, clock, 4, k)
         if form == "dense":
             rho = rc.DensityOperator.from_matrix(rho.matrix, rho.space)
+        elif form == "wide":
+            rho = widen(rho)
         h_sys = oracles.random_hermitian(rng, 4)
         h = rc.Observable.from_matrix(h_sys)
         t_grid = np.linspace(0.0, clock.tau, 17)
@@ -559,7 +576,8 @@ class TestEnergyBasisPhases:
         for members in (2, 3):
             fam = self.family(rng, 4, members)
             got = rc.rho_event(rho, fam, clock, self.T0, h, t_grid, picture="heisenberg")
-            assert (got.factor is not None) is (form == "factored")
+            keeps = rc.relational._keeps_factor(rho, t_grid, members)
+            assert (got.factor is not None) is keeps is (form != "wide")
             want = oracles.brute_rho_event(rho.matrix, fam.projectors, window, clock.h_clock.matrix, h_sys, t_grid)
             np.testing.assert_allclose(got.matrix, want, atol=1e-9)
             assert not rc.events._conserved(fam, h)

@@ -14,11 +14,11 @@ stack.  A conditioned state of the register system (a 6-spin register,
 d = 128) applies its system operator in that eigenbasis too, scaled by
 d-vectors of phases, so ``reduce_state`` and ``detect_event`` hold the factor
 Y of nt columns and chunk buffers, and no (nt, d, d) stack beside it.  A
-history chain builds no reduced state between its events: a Gram-factored
-input carries each reduction to the next window as a factor of at most
-r d columns per time, up to the window cores of the next-to-last event, and
-a dense one takes its last two factors from the cores of the state before
-them, with no (n d)^2 matrix.  The reading densities of several readings come from one
+history chain builds no reduced state between its events: it carries each
+reduction to the next window as a factor of at most r d columns per time,
+up to the window cores of the next-to-last event.  A dense input enters
+every kernel as its Gram factor, from one eigh of its (n d)^2 matrix on the
+first call, kept on the state for the calls after it.  The reading densities of several readings come from one
 clock evolution walked over t-chunks.  No timing is asserted.  Each test also
 checks its result through an independent path, since at these sizes the
 kernel walks the time grid in several chunks.  The spin-register oracle walks
@@ -46,7 +46,8 @@ PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 def readme_case():
     clock = rc.build_free_particle_clock(512, mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
     assert clock.default_t_grid().size == 104
-    # the dense input keeps the dense branch of the window kernel under these bounds
+    # a dense input: the first call that reads it (the probability's, in file
+    # order) takes its Gram factor from one eigh, and every call reads that factor
     rho = product_state(clock, rc.DensityOperator.from_matrix(PLUS, (2,)), "dense")
     return clock, rho, rc.Observable.from_matrix(rc.SIGMA_Z)
 
@@ -89,6 +90,24 @@ def test_factor_kernel_peak_at_256_nodes():
     assert p == first
     f = rc.effective_projector(PLUS, clock, T0, h_system=h)
     assert p == pytest.approx(float(np.einsum("ij,ji->", f, PLUS).real), abs=1e-9)
+
+
+def test_full_rank_dense_input_peak(readme_case, monkeypatch):
+    # a full-rank dense input enters with a factor of n d = 1024 columns, whose
+    # (d k, r, n) table on the matmul route would take 450 MiB: each t-chunk
+    # multiplies its own phases into the factor instead
+    clock, _, h = readme_case
+    g = np.random.default_rng(512).normal(size=(2 * clock.n, 4 * clock.n)).view(complex)
+    mixed = 0.8 * np.kron(clock.rho0.matrix, PLUS) + 0.2 * (g @ g.conj().T) / np.vdot(g, g).real
+    rho = rc.DensityOperator.from_matrix(mixed, clock.space * rc.HilbertSpace((2,)))
+    del g, mixed
+    assert rho._gram_factor().shape[1] == 2 * clock.n
+    assert rc.relational._rows_by_matmul(clock.n, int(np.count_nonzero(clock._window_mask(T0))))
+    p, peak = traced_peak_mb(lambda: rc.conditional_probability(rho, PLUS, clock, T0, h_system=h))
+    assert peak <= LIMIT_MB
+    # the FFT route of the same kernel
+    monkeypatch.setattr(rc.relational, "_MATMUL_FLOP_RATE", -1.0)
+    assert p == pytest.approx(rc.conditional_probability(rho, PLUS, clock, T0, h_system=h), abs=1e-12)
 
 
 def test_rho_mod_peak(readme_case):

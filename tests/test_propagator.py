@@ -109,3 +109,32 @@ def test_record_stride_below_one_rejected(h_z, stride):
     rho0 = rc.DensityOperator.from_matrix(P_PLUS, (2,))
     with pytest.raises(ValueError, match="record_stride"):
         rc.master_evolve(rho0, rc.EvolutionSetup(h_system=h_z), 1.0, record_stride=stride)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_t_end_must_be_positive_and_finite(h_z, t_end):
+    # NaN and inf once reached the step count as a float-to-integer conversion error
+    rho0 = rc.DensityOperator.from_matrix(P_PLUS, (2,))
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        rc.master_evolve(rho0, rc.EvolutionSetup(h_system=h_z), t_end)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+def test_dt_must_be_positive_and_finite(h_z, dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        rc.EvolutionSetup(h_system=h_z, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "t_values, b_values",
+    [
+        ([0.0, 1.0], [0.0, 1.0, 2.0]),  # was cut to the times' length
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),  # was an IndexError from the sort
+        ([], []),
+        ([[0.0, 1.0]], [[0.0, 1.0]]),
+        (1.0, 1.0),
+    ],
+)
+def test_spread_table_needs_equal_non_empty_columns(t_values, b_values):
+    with pytest.raises(ValueError, match="non-empty 1-d arrays of equal length"):
+        EmpiricalSpreadRate(t_values=t_values, b_values=b_values)

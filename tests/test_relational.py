@@ -8,7 +8,7 @@ import relclock as rc
 from relclock.relational import EmpiricalSpreadRate
 
 import oracles
-from inputs import FORMS, entangled_state, product_state, qubit_state
+from inputs import FORMS, entangled_state, product_state, qubit_state, widen
 
 I2 = np.eye(2, dtype=complex)
 P_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -300,26 +300,49 @@ class TestWindowFactor:
         u = oracles.random_unitary(rng, d)
         return u[:, :rank] @ u[:, :rank].conj().T
 
-    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("form", FORMS + ("wide",))
     @pytest.mark.parametrize("k", [1, 2])
     def test_reduce_state_matches_brute_force(self, small_clock, k, form):
-        # d = 4 on 40 nodes with 17 times: Y keeps 17 k columns of 160 rows; the
-        # dense form of the same state takes the dense sandwich in h's eigenbasis
+        # d = 4 on 40 nodes with 17 times: Y keeps 17 k columns of 160 rows, for
+        # the dense form of the state as for its factor; the wide form takes the
+        # dense sandwich in h's eigenbasis, with a window and without
         rng = np.random.default_rng(2200 + k)
         clock = small_clock
         rho = self.factor_state(rng, clock, 4, k)
         if form == "dense":
             rho = rc.DensityOperator.from_matrix(rho.matrix, rho.space)
+        elif form == "wide":
+            rho = widen(rho)
         h = oracles.random_hermitian(rng, 4)
         q = self.projector(rng, 4, 2)
         t_grid = np.linspace(0.0, clock.tau, 17)
         for events in ([(q, self.T0)], [(q, None)], [(None, self.T0)]):
             got = rc.reduce_state(rho, clock, events, rc.Observable.from_matrix(h), t_grid)
-            assert (got.factor is not None) is (form == "factored")
+            assert (got.factor is not None) is rc.relational._keeps_factor(rho, t_grid, 1) is (form != "wide")
             want = oracles.brute_reduce_state(
                 rho.matrix, events, clock.window_projector, clock.h_clock.matrix, h, t_grid
             )
             np.testing.assert_allclose(got.matrix, want, atol=1e-9)
+
+    @pytest.mark.parametrize("frame", [0.0, T0])
+    @pytest.mark.parametrize("windowed", [True, False])
+    def test_the_sandwich_of_a_wide_factor_matches_brute_force(self, small_clock, windowed, frame):
+        # each window and frame of the dense sandwich; no public call takes a
+        # frame without a window, so the sandwich is called directly
+        rng = np.random.default_rng(2250 + windowed)
+        clock = small_clock
+        rho = widen(self.factor_state(rng, clock, 4, 2))
+        h = oracles.random_hermitian(rng, 4)
+        q = self.projector(rng, 4, 2)
+        t_grid = np.linspace(0.0, clock.tau, 17)
+        mask = clock._window_mask(self.T0) if windowed else None
+        got = rc.relational._window_sandwich(rho, clock, mask, [q], rc.Observable.from_matrix(h), t_grid, frame)
+        want = oracles.brute_reduce_state(
+            rho.matrix, [(q, self.T0 if windowed else None)], clock.window_projector, clock.h_clock.matrix, h, t_grid
+        )
+        # the frame of the reading: U0 X U0^dagger is X evolved backwards in the Heisenberg picture
+        h_full = np.kron(clock.h_clock.matrix, np.eye(4)) + np.kron(np.eye(clock.n), h)
+        np.testing.assert_allclose(got / got.trace(), oracles.heisenberg(want, h_full, -frame), atol=1e-9)
 
     @pytest.mark.parametrize("chunk", [None, 4096])
     @pytest.mark.parametrize("n", [64, 128, 256, 2048])
@@ -841,8 +864,8 @@ def reduce_then_condition(rho, clock, events, h, t_grid=None) -> float:
 
 class TestHistoryPair:
     """The last two factors of a chain from the cores of the state before
-    them: on a uniform grid, a dense input's after ``reduce_state`` has
-    reduced it, and a factored input's after the window cores carried it."""
+    them: on a uniform grid, after the window cores carried the input's Gram
+    factor there, whether the input is dense or factored."""
 
     @pytest.mark.parametrize("steps", [3, 4])
     @pytest.mark.parametrize("form", FORMS)
@@ -899,6 +922,7 @@ class TestHistoryPair:
         chain = [rc.ReductionEvent(*e) for e in events]
         want = [reduce_then_condition(pure, small_clock, chain, h_x),
                 reduce_then_condition(dense, small_clock, chain[:2], h_x)]
+        dense_three = reduce_then_condition(dense, small_clock, chain, h_x)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a route this chain must not take")
@@ -907,10 +931,12 @@ class TestHistoryPair:
         got = [rc.history_probability(pure, small_clock, events, h_system=h_x),
                rc.history_probability(dense, small_clock, events[:2], h_system=h_x)]
         assert got == pytest.approx(want, abs=1e-12)
-        # on a uniform grid a factored chain reduces no state, however short
+        # on a uniform grid a chain reduces no state, however short, whether its input is dense or factored
         monkeypatch.setattr(rc.relational, "reduce_state", refuse)
         two = rc.history_probability(pure, small_clock, events[:2], h_system=h_x)
         assert two == pytest.approx(reduce_then_condition(pure, small_clock, chain[:2], h_x), abs=1e-12)
+        three = rc.history_probability(dense, small_clock, events, h_system=h_x)
+        assert three == pytest.approx(dense_three, abs=1e-12)
         monkeypatch.undo()
         # on a grid that is not uniform the overlaps do not depend on t - s alone
         monkeypatch.setattr(rc.relational, "_history_chain", refuse)
