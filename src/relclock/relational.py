@@ -275,7 +275,8 @@ def _history_chain(
 
     rho enters as its Gram factor F, and each reduction is carried as a
     factor per time: the first window's scaled rows L'_1(t), with
-    C'_1 = L'_1 L'_1^dagger, come from ``_window_rows``;
+    C'_1 = L'_1 L'_1^dagger, come from ``_window_rows``, each replaced by R^T
+    as in ``_carry`` where it has more than r d columns;
     D_j(s) = Z_j(s) Z_j(s)^dagger with
     Z_j(s) = (I (x) u_s^* Q~_j) L'_j(s) / sqrt(N_j); and ``_carry`` gives
 
@@ -317,11 +318,13 @@ def _history_chain(
     f = rho._gram_factor()
     k = f.shape[1]
     dft = _window_dft(clock, mask) if _rows_by_matmul(n, r) else None
-    rows = np.empty((d, k * r, nt), dtype=complex)
-    for sl, _, x in _window_rows(f, clock, mask, t_grid, lift.conj(), None if h_system is None else v, dft):
-        rows[:, :, sl] = x
-    # L'_1(t)^T at axes (t, column, a, node)
-    factor = rows.conj().reshape(d, k, r, nt).transpose(3, 1, 0, 2)
+    # L'_1(t)^T at axes (t, column, a, node), per t-chunk; one with more columns
+    # than its d r rows is replaced by R^T, R from the QR decomposition of L'_1(t)^T
+    parts = []
+    for _, _, x in _window_rows(f, clock, mask, t_grid, lift.conj(), None if h_system is None else v, dft):
+        x = x.conj().reshape(d, k, r, -1).transpose(3, 1, 0, 2).reshape(-1, k, d * r)
+        parts.append(np.linalg.qr(x, mode="r") if k > d * r else x)
+    factor = np.concatenate(parts).reshape(nt, -1, d, r)
     total = 1.0
     for j, e in enumerate(events[:-2]):
         # L'_j with rows a: K_j = x x^dagger, and Z_j
@@ -341,7 +344,7 @@ def _history_chain(
     # the last carry gave the cores of the next-to-last event; the first is a Gram product
     core = factor
     if len(events) == 2:
-        flat = factor.reshape(nt, k, d * r)
+        flat = factor.reshape(nt, -1, d * r)
         core = (flat.transpose(0, 2, 1) @ flat.conj()).reshape(nt, d, r, d, r)
     # the last two factors from the scaled cores C'_{k-1}(s) at axes (s, a, node, b, node')
     prev, last = events[-2:]
@@ -406,10 +409,10 @@ def _window_rows(
     clock index, X(t) is the window entries of fft(P_t (.) f): given the
     window's DFT rows ``dft`` (where ``_rows_by_matmul`` says so), one
     matmul per column of F of its (r, n) table f (.) dft with the chunk's
-    P^T, or, where that (d k, r, n) table would hold more entries than rho's
-    (n d)^2 matrix, one matmul of P_t (.) f with the DFT rows per chunk;
-    otherwise an FFT of each column per time.  ``extra`` counts the caller's
-    entries per time in the chunk budget ``_CHUNK_ENTRIES``."""
+    P^T; otherwise, or where that (d k, r, n) table would hold more entries
+    than rho's (n d)^2 matrix, an FFT of each column per time.  ``extra``
+    counts the caller's entries per time in the chunk budget
+    ``_CHUNK_ENTRIES``."""
     n = clock.n
     d, k = f.shape[0] // n, f.shape[1]
     r = int(np.count_nonzero(mask))
@@ -421,25 +424,24 @@ def _window_rows(
     f_bar = np.fft.ifft(f_t.conj())
     # the matmul's (d k, r, n) table is built whole, not per t-chunk: where it
     # would outgrow the state's dense matrix (450 MiB for a full-rank factor at
-    # n = 512) each chunk multiplies its own phases into f before the matmul
-    table = dft is not None and k * r <= n * d
-    if table:
+    # n = 512) the FFTs take the rows
+    dft = dft if k * r <= n * d else None
+    if dft is not None:
         g = f_bar[:, None, :] * dft
-    per_time = n + (d * k * r if table else d * k * n) + extra
+    per_time = n + (d * k * r if dft is not None else d * k * n) + extra
     step = max(1, _CHUNK_ENTRIES // per_time)
     for start in range(0, t_grid.size, step):
         sl = slice(start, min(start + step, t_grid.size))
         phase = clock._phases(t_grid, sl)
         c = phase.shape[0]
-        if table:
+        if dft is not None:
             # one (r, n) x (n, c) product per column of F: OpenBLAS ran a product
             # of 2^16 or more multiply-adds on two threads, and on a two-core host
             # with the other core busy such a call (20 x 128 x 49) took 16 ms
             # against 44 us when split, while these stay below it up to n = 128
             x = (g @ phase.T).reshape(d, k * r, c)
         else:
-            y = phase[:, None, :] * f_bar
-            x = (y @ dft.T if dft is not None else np.fft.fft(y)[:, :, mask]).reshape(c, d, k * r).transpose(1, 2, 0)
+            x = np.fft.fft(phase[:, None, :] * f_bar)[:, :, mask].reshape(c, d, k * r).transpose(1, 2, 0)
         x *= scale[sl].T[:, None, :]
         yield sl, phase, x
 

@@ -186,8 +186,8 @@ class DensityOperator:
     ``partial_trace`` work on the factor.  The window kernels of
     ``relational`` and ``events`` read every state through
     ``_gram_factor``: a dense state's factor comes from one eigh of its
-    matrix, taken on first use and kept, while ``factor`` stays None.
-    Instances are immutable.
+    matrix, taken on first use and kept beside the matrix (up to twice its
+    memory at full rank), while ``factor`` stays None.  Instances are immutable.
     """
 
     __slots__ = ("space", "factor", "_matrix", "_gram")

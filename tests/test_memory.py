@@ -92,22 +92,56 @@ def test_factor_kernel_peak_at_256_nodes():
     assert p == pytest.approx(float(np.einsum("ij,ji->", f, PLUS).real), abs=1e-9)
 
 
-def test_full_rank_dense_input_peak(readme_case, monkeypatch):
-    # a full-rank dense input enters with a factor of n d = 1024 columns, whose
-    # (d k, r, n) table on the matmul route would take 450 MiB: each t-chunk
-    # multiplies its own phases into the factor instead
+@pytest.fixture(scope="module")
+def full_rank_case(readme_case):
+    # a full-rank dense input: its Gram factor, taken here, has n d = 1024 columns
     clock, _, h = readme_case
     g = np.random.default_rng(512).normal(size=(2 * clock.n, 4 * clock.n)).view(complex)
     mixed = 0.8 * np.kron(clock.rho0.matrix, PLUS) + 0.2 * (g @ g.conj().T) / np.vdot(g, g).real
     rho = rc.DensityOperator.from_matrix(mixed, clock.space * rc.HilbertSpace((2,)))
-    del g, mixed
     assert rho._gram_factor().shape[1] == 2 * clock.n
-    assert rc.relational._rows_by_matmul(clock.n, int(np.count_nonzero(clock._window_mask(T0))))
+    return clock, rho, h
+
+
+def test_full_rank_dense_input_peak(full_rank_case):
+    # the matmul route's (d k, r, n) table of a factor of n d columns would take
+    # 450 MiB: such a factor takes an FFT of each column per time instead
+    clock, rho, h = full_rank_case
+    mask = clock._window_mask(T0)
+    assert rc.relational._rows_by_matmul(clock.n, int(np.count_nonzero(mask)))
     p, peak = traced_peak_mb(lambda: rc.conditional_probability(rho, PLUS, clock, T0, h_system=h))
     assert peak <= LIMIT_MB
-    # the FFT route of the same kernel
-    monkeypatch.setattr(rc.relational, "_MATMUL_FLOP_RATE", -1.0)
-    assert p == pytest.approx(rc.conditional_probability(rho, PLUS, clock, T0, h_system=h), abs=1e-12)
+    # K is a sum over the factor's columns: blocks narrow enough for the matmul
+    # route's table give the same kernel
+    t_grid = clock.default_t_grid()
+    v, lam = rc.relational._eigenbasis(h, 2)
+    scale = np.exp(1j * np.outer(t_grid, lam)) * np.sqrt(clock._quadrature_weights(t_grid))[:, None]
+    dft = rc.relational._window_dft(clock, mask)
+    f, kernel = rho._gram_factor(), np.zeros((2, 2), dtype=complex)
+    for i in range(0, f.shape[1], 32):
+        for _, _, x in rc.relational._window_rows(f[:, i : i + 32], clock, mask, t_grid, scale, v, dft):
+            x = x.reshape(2, -1)
+            kernel += x @ x.conj().T
+    want = rc.relational._kernel_probabilities(kernel.conj(), v, PLUS[None], T0)[0]
+    assert p == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_events", [2, 3])
+def test_full_rank_dense_history_peak(full_rank_case, n_events):
+    # the first window's rows of a factor of n d columns are replaced per t-chunk
+    # by R^T of r d columns, where holding them all took 346 and 700 MiB
+    clock, rho, h = full_rank_case
+    up = np.diag([1.0, 0.0]).astype(complex)
+    events = [(PLUS, 1.5), (up, 2.0), (PLUS, 2.6)][:n_events]
+    p, peak = traced_peak_mb(lambda: rc.history_probability(rho, clock, events, h_system=h))
+    assert peak <= LIMIT_MB
+    # the chain through the conditioned states themselves
+    want, state = 1.0, rho
+    for i, (q, t0) in enumerate(events):
+        want *= rc.conditional_probability(state, q, clock, t0, h_system=h)
+        if i + 1 < len(events):
+            state = rc.reduce_state(state, clock, [(q, t0)], h_system=h)
+    assert p == pytest.approx(want, abs=1e-12)
 
 
 def test_rho_mod_peak(readme_case):
