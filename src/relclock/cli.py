@@ -51,11 +51,11 @@ from .events import actualized_properties, detect_event
 from .relational import (
     EvolutionSetup,
     Trajectory,
+    _physical_time_states,
     _write_csv,
     conditional_probability,
     master_evolve,
     offdiag_decay_factor,
-    physical_time_state,
 )
 from .states import (
     DensityOperator,
@@ -209,8 +209,8 @@ def _run_conditional_prob(ctx: dict, q: dict, path: Path) -> None:
 def _run_physical_evolve(ctx: dict, q: dict, path: Path) -> None:
     system = ctx["system"]
     times = [float(t_value) for t_value in q["T_values"]]
-    states = [physical_time_state(system["rho"], system["h"], density)
-              for density in clock_densities(ctx["clock"], times)]
+    # every reading density of one clock lies on its default grid: one batched pass
+    states = _physical_time_states(system["rho"], system["h"], clock_densities(ctx["clock"], times))
     Trajectory(times=np.array(times), states=tuple(states)).to_csv(path)
 
 

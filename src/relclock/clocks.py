@@ -50,6 +50,15 @@ def trapezoid_weights(t_grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _uniform(t_grid: np.ndarray) -> bool:
+    """Whether ``t_grid`` is a 1-d grid t_0 + m dt of two points or more, to a
+    few units in the last place, as ``np.linspace`` and the default grids are."""
+    if t_grid.ndim != 1 or t_grid.size < 2:
+        return False
+    steps = t_grid[0] + (t_grid[-1] - t_grid[0]) / (t_grid.size - 1) * np.arange(t_grid.size)
+    return bool(np.abs(t_grid - steps).max() <= 4 * np.finfo(float).eps * np.abs(t_grid).max())
+
+
 @dataclass(frozen=True)
 class AccuracyLaw:
     """Fundamental time-measurement uncertainty delta_T = T^a * Tp^(1-a)."""
@@ -60,20 +69,20 @@ class AccuracyLaw:
     def __post_init__(self):
         if not 0.0 < self.exponent_a <= 1.0:
             raise ValueError(f"exponent must lie in (0, 1], got {self.exponent_a}")
-        if not self.t_planck > 0.0:
-            raise ValueError(f"t_planck must be positive, got {self.t_planck}")
+        if not 0.0 < self.t_planck < math.inf:
+            raise ValueError(f"t_planck must be positive and finite, got {self.t_planck}")
 
     def delta_t(self, T: float) -> float:
-        if T < 0:
-            raise ValueError("elapsed time must be nonnegative")
+        if not 0.0 <= T < math.inf:
+            raise ValueError(f"elapsed time must be finite and nonnegative, got {T}")
         if T == 0.0:
             return 0.0
         return T ** self.exponent_a * self.t_planck ** (1.0 - self.exponent_a)
 
     def accumulated_spread(self, T: float) -> float:
         """b(T) = Tp^(2(1-a)) * T^(2a); the decay exponent per unit omega^2."""
-        if T < 0:
-            raise ValueError("elapsed time must be nonnegative")
+        if not 0.0 <= T < math.inf:
+            raise ValueError(f"elapsed time must be finite and nonnegative, got {T}")
         if T == 0.0:
             return 0.0
         return self.t_planck ** (2.0 * (1.0 - self.exponent_a)) * T ** (2.0 * self.exponent_a)
@@ -81,8 +90,8 @@ class AccuracyLaw:
     def spread_rate(self, T: float) -> float:
         """db/dT; at T = 0 the right-limit (infinite for a < 1/2)."""
         a = self.exponent_a
-        if T < 0:
-            raise ValueError("elapsed time must be nonnegative")
+        if not 0.0 <= T < math.inf:
+            raise ValueError(f"elapsed time must be finite and nonnegative, got {T}")
         if T == 0.0:
             if a < 0.5:
                 return math.inf
@@ -162,11 +171,31 @@ class ClockModel:
         return np.diag(self._window_mask(t0).astype(complex))
 
     def evolve_state(self, t_grid: np.ndarray) -> np.ndarray:
-        """Clock wavefunction at each grid time, shape (n, n_t)."""
-        t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-        psi_k = np.fft.fft(self.psi0)
-        phases = np.exp(-1j * np.outer(self.dispersion, t))
-        return np.fft.ifft(psi_k[:, None] * phases, axis=0)
+        """Clock wavefunction at each grid time, shape (n, n_t), its phases from ``_phase_rows``."""
+        return self._packets(np.atleast_1d(np.asarray(t_grid, dtype=float)), slice(None))
+
+    def _packets(self, t: np.ndarray, sl: slice) -> np.ndarray:
+        """``evolve_state`` at the times ``t[sl]`` with the phases of the whole
+        grid ``t``, C-ordered as the window sums of ``_window_masses`` need."""
+        phases = self._phase_rows(t, sl, -1j).T
+        return np.fft.ifft(np.multiply(np.fft.fft(self.psi0)[:, None], phases, order="C"), axis=0)
+
+    def _phase_rows(self, t_grid: np.ndarray, sl: slice, unit: complex = 1j) -> np.ndarray:
+        """e^{unit dispersion t} for the times ``t_grid[sl]``, shape (c, n).  On a
+        uniform grid t_0 + m dt whose whole table fits one chunk and gains from
+        it, row a b + b' is e^{unit dispersion (t_0 + a b dt)} (.) e^{unit
+        dispersion b' dt}, b = ceil(sqrt(nt)): 2 n sqrt(nt) exponentials, and a
+        slice's rows bitwise those of the whole table; else one per entry."""
+        nt = t_grid.size
+        b = math.isqrt(max(nt - 1, 0)) + 1
+        if nt * self.n > _CHUNK_ENTRIES or -(-nt // b) + b >= nt or not _uniform(t_grid):
+            return np.exp(unit * np.outer(t_grid[sl], self.dispersion))
+        start, stop, _ = sl.indices(nt)
+        dt = (t_grid[-1] - t_grid[0]) / (nt - 1)
+        t_hi = t_grid[0] + (b * dt) * np.arange(start // b, -(-stop // b))
+        hi = np.exp(unit * np.outer(t_hi, self.dispersion))
+        lo = np.exp(unit * np.outer(dt * np.arange(b), self.dispersion))
+        return (hi[:, None, :] * lo).reshape(-1, self.n)[start % b : start % b + stop - start]
 
     def _window_masses(self, t_values: Sequence[float], t_grid: np.ndarray) -> np.ndarray:
         """Probability of each reading window ``t_values[i]`` at each Newtonian
@@ -175,9 +204,10 @@ class ClockModel:
         Every window is checked before anything is evolved.  The chunks are
         balanced, so none holds a single column unless n_t = 1: numpy sums an
         (r, 1) array pairwise, an (r, c >= 2) one row by row, and the two round
-        differently.  The masses thus equal, bit for bit, those of one
-        unchunked ``evolve_state`` over the whole grid, and those summed from
-        the clock's reading table, which serves the default grid.
+        differently.  Each chunk takes its phases from ``_phase_rows`` of the
+        whole grid, so the masses equal, bit for bit, those of one unchunked
+        ``evolve_state`` over the whole grid, and those summed from the
+        clock's reading table, which serves the default grid.
         """
         masks = [self._window_mask(t0) for t0 in t_values]
         t = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -190,8 +220,8 @@ class ClockModel:
         step = max(1, _CHUNK_ENTRIES // self.n)
         start = 0
         for chunk in np.array_split(t, max(1, -(-t.size // step))):
-            psi_t = self.evolve_state(chunk)
             sl = slice(start, start + chunk.size)
+            psi_t = self._packets(t, sl)
             for row, mask in zip(out, masks):
                 row[sl] = np.sum(np.abs(psi_t[mask, :]) ** 2, axis=0)
             del psi_t  # freed before the next chunk is evolved
@@ -228,13 +258,13 @@ class ClockModel:
 
     @cached_property
     def _default_phases(self) -> np.ndarray | None:
-        """e^{i dispersion t} on the default grid, shape (nt, n); None when the
-        table would exceed one chunk's budget, and the kernel computes each
-        chunk's rows instead."""
+        """e^{i dispersion t} on the default grid from ``_phase_rows``, shape
+        (nt, n); None when the table would exceed one chunk's budget, and the
+        kernel computes each chunk's rows instead."""
         t = self._default_grid
         if t.size * self.n > _CHUNK_ENTRIES:
             return None
-        return _freeze(np.exp(1j * np.outer(t, self.dispersion)), None)
+        return _freeze(self._phase_rows(t, slice(None)), None)
 
     @cached_property
     def _default_readings(self) -> np.ndarray | None:
@@ -264,9 +294,7 @@ class ClockModel:
         """e^{i dispersion t} for the times ``t_grid[sl]``, shape (c, n): rows of
         the cached table for the default grid, computed otherwise."""
         table = self._default_phases if t_grid is self._default_grid else None
-        if table is None:
-            return np.exp(1j * np.outer(t_grid[sl], self.dispersion))
-        return table[sl]
+        return self._phase_rows(t_grid, sl) if table is None else table[sl]
 
 
 def build_free_particle_clock(
@@ -413,13 +441,16 @@ def gaussian_clock_density(
     t0: float, t_grid: np.ndarray, width: float, mean: float | None = None
 ) -> ClockDensity:
     """Synthetic Gaussian reading density (grid-normalized)."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    t_grid = np.asarray(t_grid, dtype=float)
     mu = t0 if mean is None else mean
+    if not (0.0 < width < math.inf and math.isfinite(t0) and math.isfinite(mu)):
+        raise ValueError(f"width must be positive, t0 and mean finite: got {width}, {t0}, {mu}")
+    t_grid = np.asarray(t_grid, dtype=float)
     raw = np.exp(-((t_grid - mu) ** 2) / (2.0 * width**2))
     w = trapezoid_weights(t_grid)
-    return _normalized_density(t0, t_grid, w, raw, float(np.sum(w * raw)))
+    denom = float(np.sum(w * raw))
+    if not denom > 0.0:
+        raise ValueError(f"a Gaussian of mean {mu} and width {width} has no weight on the grid")
+    return _normalized_density(t0, t_grid, w, raw, denom)
 
 
 def delta_clock_density(t0: float, t_grid: np.ndarray) -> ClockDensity:

@@ -23,6 +23,7 @@ from .clocks import (
     ClockDensity,
     ClockModel,
     UnreachableReadingError,
+    _uniform,
     clock_density,
     density_moments,
 )
@@ -69,16 +70,17 @@ def _energy_basis_stack(
         sum_t weights_t exp(-i omega_mn t) = (U^T diag(weights) U^*)_mn,
 
     with U_tm = e^{-i lambda_m t}: nt d exponentials and a (d, nt) x (nt, d)
-    product per t-chunk of at most ``_CHUNK_ENTRIES`` entries of U."""
+    product per t-chunk of at most ``_CHUNK_ENTRIES`` entries of U.  Weights of
+    shape (K, nt) give K mixtures from the same exponentials, a (K, d, d) stack."""
     v = h.eigenvectors
     lam = h.eigenvalues
     if weights is not None:
         step = max(1, _CHUNK_ENTRIES // lam.size)
-        factor = np.zeros((lam.size, lam.size), dtype=complex)
+        factor = np.zeros(weights.shape[:-1] + (lam.size, lam.size), dtype=complex)
         for start in range(0, times.size, step):
             sl = slice(start, start + step)
             u = np.exp(-1j * np.outer(times[sl], lam))
-            factor += (u.T * weights[sl]) @ u.conj()
+            factor += (u.T * weights[..., None, sl]) @ u.conj()
         tilde = v.conj().T @ op @ v
     else:
         # tilde before the exponent: a complex exp issued directly after a BLAS
@@ -179,17 +181,6 @@ def _window_dft(clock: ClockModel, mask: np.ndarray) -> np.ndarray:
     rows exp(-2 pi i j m / n), built in O(n r) memory.  Each is a root of unity
     of the clock, gathered at the index j m mod n."""
     return clock._roots[np.outer(np.flatnonzero(mask), np.arange(clock.n)) % clock.n]
-
-
-def _uniform(t_grid: np.ndarray) -> bool:
-    """Whether ``t_grid`` is t_0 + m dt to a few units in the last place, as
-    ``np.linspace`` and the clocks' default grids are.  A grid that is not
-    1-d or has fewer than two points is not, and the chain's quadrature
-    rejects it as it does on any route."""
-    if t_grid.ndim != 1 or t_grid.size < 2:
-        return False
-    steps = t_grid[0] + (t_grid[-1] - t_grid[0]) / (t_grid.size - 1) * np.arange(t_grid.size)
-    return bool(np.abs(t_grid - steps).max() <= 4 * np.finfo(float).eps * np.abs(t_grid).max())
 
 
 def _lag_band(y: np.ndarray, nt: int, lag: int, axis: int) -> np.ndarray:
@@ -821,15 +812,23 @@ def physical_time_state(rho0: DensityOperator, h: Observable, density: ClockDens
     density p_T.  Evolution and mixture commute with ad_H, so in the energy
     basis rho_mn(T) = rho_mn(0) phi_T(omega_mn), with
     phi_T(omega) = sum_t w_t p_T(t) e^{-i omega t} / sum_t w_t p_T(t) over the
-    density's own grid; no trajectory is built."""
+    density's own grid; no trajectory is built.  One-density case of ``_physical_time_states``."""
+    return _physical_time_states(rho0, h, [density])[0]
+
+
+def _physical_time_states(
+    rho0: DensityOperator, h: Observable, densities: Sequence[ClockDensity]
+) -> list[DensityOperator]:
+    """``physical_time_state`` for each of ``densities``, which share one grid:
+    one ``_energy_basis_stack`` pass and one check of the (K, d, d) stack."""
     if rho0.dim != h.dim:
         raise ValidationError("state and Hamiltonian dimensions differ")
-    weights = density._weights()
-    total = float(weights.sum())
-    if total <= 0:
+    weights = np.stack([density._weights() for density in densities])
+    total = weights.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
         raise ZeroProbabilityError("clock density has no weight on its grid")
-    mix = _energy_basis_stack(rho0.matrix, h, density.t_grid, weights=weights / total)
-    return DensityOperator(matrix=mix, space=rho0.space)
+    mix = _energy_basis_stack(rho0.matrix, h, densities[0].t_grid, weights=weights / total)
+    return _density_states(mix, rho0.space)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,15 @@ class TestAccuracyLaw:
             rc.AccuracyLaw(exponent_a=0.0, t_planck=1e-3)
         with pytest.raises(ValueError):
             rc.AccuracyLaw(exponent_a=0.5, t_planck=0.0)
+        with pytest.raises(ValueError, match="t_planck must be positive and finite"):
+            rc.AccuracyLaw(exponent_a=0.5, t_planck=math.inf)
+
+    @pytest.mark.parametrize("method", ["delta_t", "accumulated_spread", "spread_rate"])
+    @pytest.mark.parametrize("elapsed", [-1.0, math.nan, math.inf])
+    def test_elapsed_time_must_be_finite_and_nonnegative(self, method, elapsed):
+        law = rc.AccuracyLaw(exponent_a=1.0 / 3.0, t_planck=1e-3)
+        with pytest.raises(ValueError, match="elapsed time must be finite and nonnegative"):
+            getattr(law, method)(elapsed)
 
 
 class TestSpreadRate:
@@ -198,16 +207,21 @@ class TestClockDensities:
             assert np.array_equal(d.density, rc.clock_density(clock, t0, t_grid).density)
             assert np.array_equal(clock.window_probabilities(t0, t_grid), raw)
 
+    @pytest.mark.parametrize("grid", ["default", "passed"])
     @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_unreachable_reading_raises_before_any_evolution(self, free_clock, monkeypatch, position):
-        def forbidden(self, t_grid):
+    def test_unreachable_reading_raises_before_any_evolution(self, free_clock, monkeypatch, position, grid):
+        # every evolution of the packet takes its phases from _phase_rows, on
+        # both routes: the reading table of the default grid, and the chunk loop
+        # on a grid passed in
+        def forbidden(self, *args):
             raise AssertionError("the packet was evolved before every reading was checked")
 
-        monkeypatch.setattr(rc.ClockModel, "evolve_state", forbidden)
+        monkeypatch.setattr(rc.ClockModel, "_phase_rows", forbidden)
+        t_grid = None if grid == "default" else free_clock.default_t_grid()
         t_values = [1.0, 2.0]
         t_values.insert(position, 50.0)
         with pytest.raises(rc.UnreachableReadingError, match="outside the clock range"):
-            rc.clock_densities(free_clock, t_values)
+            rc.clock_densities(free_clock, t_values, t_grid)
 
 
 class TestDefaultGridTables:
@@ -338,6 +352,64 @@ class TestReadingTable:
         np.testing.assert_allclose(density.density[[0, 50, 103]] * density.weight, mass, rtol=0.0, atol=1e-12)
 
 
+README_CLOCK = dict(mass=30.0, sigma0=0.4, delta_c=0.35, tau=6.0)
+
+
+class TestPhaseRows:
+    """e^{i dispersion t} on a uniform grid whose table fits one chunk: row
+    a b + b' as hi[a] (.) lo[b'], about 2 n sqrt(nt) exponentials; every
+    other grid keeps one exponential per entry."""
+
+    @staticmethod
+    def direct(t, clock, unit=1j):
+        return np.exp(unit * np.outer(t, clock.dispersion))
+
+    @pytest.mark.parametrize(
+        "clock",
+        [
+            TestDefaultGridTables.clock(),
+            rc.build_free_particle_clock(256, **README_CLOCK),
+            rc.build_free_particle_clock(1024, **README_CLOCK),
+            rc.build_ideal_clock(48, tau=4.0),
+        ],
+        ids=["perfbench-64", "readme-256", "readme-1024", "ideal"],
+    )
+    def test_split_rows_match_one_exponential_per_entry(self, clock):
+        t = clock.default_t_grid()
+        bound = 4 * np.finfo(float).eps * np.abs(np.outer(t, clock.dispersion)).max()
+        for unit in (1j, -1j):
+            split, direct = clock._phase_rows(t, slice(None), unit), self.direct(t, clock, unit)
+            # the split route is taken: its rounding differs from the direct one
+            assert split.shape == direct.shape and not np.array_equal(split, direct)
+            assert np.abs(split - direct).max() <= bound
+        assert np.array_equal(clock._default_phases, clock._phase_rows(t, slice(None)))
+
+    def test_slice_rows_are_bitwise_those_of_the_whole_table(self):
+        rng = np.random.default_rng(27)
+        clock = rc.build_free_particle_clock(256, **README_CLOCK)
+        t = clock.default_t_grid()
+        whole = {unit: clock._phase_rows(t, slice(None), unit) for unit in (1j, -1j)}
+        for _ in range(20):
+            start, stop = np.sort(rng.choice(t.size + 1, size=2, replace=False))
+            for unit, table in whole.items():
+                assert np.array_equal(clock._phase_rows(t, slice(start, stop), unit), table[start:stop])
+            assert np.array_equal(clock._phases(t, slice(start, stop)), clock._default_phases[start:stop])
+
+    def test_other_grids_keep_one_exponential_per_entry(self):
+        rng = np.random.default_rng(2027)
+        small = rc.build_free_particle_clock(256, **README_CLOCK)
+        large = rc.build_free_particle_clock(16384, **README_CLOCK)
+        uneven = np.sort(rng.uniform(0.0, small.tau, 104))
+        cases = [(small, uneven), (large, large.default_t_grid()), (small, np.array([0.5, 1.7, 2.9]))]
+        for clock, t in cases:
+            sl = slice(1, t.size - 1)
+            for unit in (1j, -1j):
+                assert np.array_equal(clock._phase_rows(t, sl, unit), self.direct(t[sl], clock, unit))
+            if t.size * clock.n <= rc.clocks._CHUNK_ENTRIES:
+                want = np.fft.ifft(np.fft.fft(clock.psi0)[:, None] * self.direct(t, clock, -1j).T, axis=0)
+                assert np.array_equal(clock.evolve_state(t), want)
+
+
 class TestGaussianDensity:
     def test_symmetric_density_moments(self):
         grid = np.linspace(0.0, 6.0, 1201)
@@ -360,11 +432,17 @@ class TestGaussianDensity:
         assert rc.delta_clock_density(6.049, grid).density[-1] > 0.0
         assert rc.delta_clock_density(-0.049, grid).density[0] > 0.0
 
-    def test_gaussian_with_no_mass_on_the_grid_is_rejected(self):
-        # the Gaussian underflows to 0 at every node, so the density is 0 / 0
+    @pytest.mark.parametrize("t0, width, mean", [(100.0, 0.1, None), (2.0, 0.01, 50.0)])
+    def test_gaussian_with_no_mass_on_the_grid_is_rejected(self, t0, width, mean):
+        # the Gaussian underflows to 0 at every node: rejected before 0 / 0,
+        # which would warn (an error under the suite's filter)
         grid = np.linspace(0.0, 6.0, 601)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            rc.gaussian_clock_density(100.0, grid, width=0.1)
+        with pytest.raises(ValueError, match="has no weight on the grid"):
+            rc.gaussian_clock_density(t0, grid, width=width, mean=mean)
+
+    def test_gaussian_with_an_infinite_width_is_rejected(self):
+        with pytest.raises(ValueError, match="width must be positive, t0 and mean finite"):
+            rc.gaussian_clock_density(2.0, np.linspace(0.0, 6.0, 61), width=math.inf)
 
 
 
@@ -389,6 +467,15 @@ NAN_CASES = {
         for key in FREE_ARGS
     },
     "build_ideal_clock-tau": (lambda: rc.build_ideal_clock(16, tau=math.nan), "tau must be positive"),
+    **{
+        f"gaussian_clock_density-{key}": (
+            lambda key=key: rc.gaussian_clock_density(
+                **{"t0": 2.0, "t_grid": np.linspace(0.0, 6.0, 61), "width": 0.3, key: math.nan}
+            ),
+            "width must be positive, t0 and mean finite",
+        )
+        for key in ("width", "mean", "t0")
+    },
 }
 
 

@@ -531,6 +531,18 @@ class TestPhysicalTimeState:
         want = oracles.brute_effective_projector(q, h, density, t_grid)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("form", FORMS)
+    def test_batched_states_equal_one_call_per_density(self, free_clock, form):
+        rng = np.random.default_rng(9)
+        h = rc.Observable.from_matrix(oracles.random_hermitian(rng, 2))
+        rho0 = qubit_state(rng, form)
+        densities = rc.clock_densities(free_clock, [0.8, 1.6, 2.4, 3.1])
+        batched = rc.relational._physical_time_states(rho0, h, densities)
+        assert len(batched) == len(densities)
+        for got, density in zip(batched, densities):
+            want = rc.physical_time_state(rho0, h, density)
+            assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-15
+
     def test_zero_density_rejected(self, h_z, rng):
         t_grid = np.linspace(0.0, 4.0, 101)
         density = rc.ClockDensity(t_value=2.0, t_grid=t_grid, density=np.zeros(101), norm_check=0.0)
